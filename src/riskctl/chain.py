@@ -14,11 +14,18 @@ The no-detour realization probability W is the product of the forward
 stage probabilities; first-passage analytics (expected steps, hitting
 probability within a horizon) pin S_m absorbing, and a seeded Monte
 Carlo simulator cross-checks them.
+
+The simulator cuts its trials into fixed blocks of ``_TRIAL_BLOCK``,
+each with its own counter-based Philox stream keyed by (seed, block),
+and draws only for walks still live.  A trial's draws therefore depend
+on the seed, its block and that block's history, never on the worker
+count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -34,10 +41,12 @@ from .errors import (
 )
 from .model import AttackPath, ThreatModel, resolve_score
 
-# Philox fills its output buffer in blocks of four 64-bit draws;
-# advance() repositions in whole blocks, so worker slices must start at
-# multiples of this to reproduce the draws of an unsliced run.
-_PHILOX_BLOCK = 4
+# Trials per random stream.  Block b of a run draws from its own Philox
+# stream keyed by (seed, b); the constant fixes which trials share a
+# stream, so it must not depend on the worker count.  Larger blocks
+# spread numpy's per-step call overhead over more walks: of 8192, 16384
+# and 32768, 32768 ran the `mc` benchmark workload fastest on 2 vCPUs.
+_TRIAL_BLOCK = 32768
 
 
 @dataclass(eq=False)
@@ -64,15 +73,24 @@ class MarkovChain:
 
 @dataclass
 class SimulationReport:
-    """Outcome of a batch of seeded first-passage walks."""
+    """Outcome of a batch of seeded first-passage walks.
+
+    ``hit_fraction_se`` is the binomial standard error of
+    ``hit_fraction``; ``mean_ttc_se`` is the standard error of
+    ``mean_ttc`` (standard deviation of the hit times over sqrt(hits)),
+    None when no walk hit.  ``ttc_samples`` holds the hit times block
+    by block (see ``simulate``), ascending within each block.
+    """
 
     trials: int
     horizon: int
     seed: int
     hits: int
     hit_fraction: float
+    hit_fraction_se: float
     ttc_samples: np.ndarray = field(repr=False)
     mean_ttc: float | None
+    mean_ttc_se: float | None
     p50: float | None
     p90: float | None
     p99: float | None
@@ -84,7 +102,9 @@ class SimulationReport:
             "seed": self.seed,
             "hits": self.hits,
             "hit_fraction": self.hit_fraction,
+            "hit_fraction_se": self.hit_fraction_se,
             "mean_ttc": self.mean_ttc,
+            "mean_ttc_se": self.mean_ttc_se,
             "p50": self.p50,
             "p90": self.p90,
             "p99": self.p99,
@@ -291,48 +311,40 @@ def hit_probability_within(chain: MarkovChain, horizon: int) -> float:
 # Monte Carlo simulation
 # ---------------------------------------------------------------------------
 
-def _step_uniforms(seed: int, step: int, lo: int, count: int) -> np.ndarray:
-    """Draws ``lo .. lo+count`` of the per-step stream keyed by (seed, step).
-
-    ``lo`` must be a multiple of the Philox block size so that sliced
-    and unsliced runs see identical values at each absolute trial index.
-    """
-    bit_gen = np.random.Philox(seed=np.random.SeedSequence((seed, step)))
-    if lo:
-        bit_gen.advance(lo // _PHILOX_BLOCK)
-    return np.random.Generator(bit_gen).random(count)
-
-
-def _run_slice(
+def _walk_block(
     back_p: np.ndarray,
-    fwd_p: np.ndarray,
-    target: int,
+    fwd_threshold: np.ndarray,
     horizon: int,
     seed: int,
-    lo: int,
-    hi: int,
+    block: int,
+    size: int,
 ) -> np.ndarray:
-    """First-passage steps (0 = no hit) for trials ``lo .. hi``."""
-    n = hi - lo
-    states = np.zeros(n, dtype=np.int64)
-    hit_at = np.zeros(n, dtype=np.int64)
-    active = np.arange(n)
+    """Ascending hit times of the walks of a ``size``-trial block that hit.
+
+    The block's generator is keyed by (seed, block) and, at every step,
+    draws one uniform per live walk.  Walk state is kept compacted: a
+    walk that reaches the target leaves ``states`` and draws nothing
+    more, so only the number of arrivals per step is recorded.
+    """
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, block))))
+    target = fwd_threshold.size
+    arrivals = np.zeros(horizon + 1, dtype=np.int64)
+    states = np.zeros(size, dtype=np.intp)
     for step in range(1, horizon + 1):
-        if active.size == 0:
+        if not states.size:
             break
-        uniforms = _step_uniforms(seed, step, lo, n)[active]
-        current = states[active]
-        moved = (
-            current
-            + (uniforms >= 1.0 - fwd_p[current]).astype(np.int64)
-            - (uniforms < back_p[current]).astype(np.int64)
+        uniforms = rng.random(states.size)
+        states = (
+            states
+            + (uniforms >= fwd_threshold[states])
+            - (uniforms < back_p[states])
         )
-        states[active] = moved
-        arrived = moved == target
-        if arrived.any():
-            hit_at[active[arrived]] = step
-            active = active[~arrived]
-    return hit_at
+        live = states != target
+        arrived = states.size - np.count_nonzero(live)
+        if arrived:
+            arrivals[step] = arrived
+            states = states[live]
+    return np.repeat(np.arange(horizon + 1), arrivals)
 
 
 def simulate(
@@ -344,9 +356,14 @@ def simulate(
 ) -> SimulationReport:
     """Run independent first-passage walks from S_0.
 
-    The draw consumed by trial t at step s depends only on (seed, s, t),
-    so a given seed produces bit-identical reports for any ``workers``
-    setting; workers only split the trial axis.
+    Trials are cut into consecutive blocks of ``_TRIAL_BLOCK``.  Block b
+    draws from one Philox stream keyed by (seed, b): at each step, one
+    uniform per walk of the block still live, in trial order.  So the
+    draws of trial t depend on the seed, its block and that block's
+    history, never on ``workers``, and a given seed produces
+    bit-identical reports for any ``workers`` setting.  Workers take
+    whole blocks; at most ``min(workers, blocks, os.cpu_count())``
+    threads run.
 
     Raises:
         ValueError: trials < 1, horizon < 1, negative seed, workers < 1.
@@ -363,42 +380,43 @@ def simulate(
     target = chain.target
     matrix = np.asarray(chain.matrix, dtype=float)
     # Per-state back/forward thresholds for the transient states; the
-    # walk never sits on the target (first passage ends the trial).
+    # walk never sits on the target (first passage ends the trial).  A
+    # uniform below back_p steps back, one at or above fwd_threshold
+    # steps forward.
     back_p = np.zeros(target)
     back_p[1:] = np.diag(matrix, k=-1)[: target - 1]
-    fwd_p = np.diag(matrix, k=1).copy()
+    fwd_threshold = 1.0 - np.diag(matrix, k=1)
 
-    chunk = -(-trials // workers)  # ceil
-    chunk = -(-chunk // _PHILOX_BLOCK) * _PHILOX_BLOCK
-    bounds = list(range(0, trials, chunk)) + [trials]
-    slices = list(zip(bounds[:-1], bounds[1:]))
+    def run(block: int) -> np.ndarray:
+        size = min(_TRIAL_BLOCK, trials - block * _TRIAL_BLOCK)
+        return _walk_block(back_p, fwd_threshold, horizon, seed, block, size)
 
-    def run(bounds_pair: tuple[int, int]) -> np.ndarray:
-        lo, hi = bounds_pair
-        return _run_slice(back_p, fwd_p, target, horizon, seed, lo, hi)
-
-    if len(slices) == 1:
-        parts = [run(slices[0])]
+    blocks = range(-(-trials // _TRIAL_BLOCK))
+    threads = min(workers, len(blocks), os.cpu_count() or 1)
+    if threads == 1:
+        parts = [run(block) for block in blocks]
     else:
-        with ThreadPoolExecutor(max_workers=len(slices)) as pool:
-            parts = list(pool.map(run, slices))
-    hit_at = np.concatenate(parts)
-
-    samples = hit_at[hit_at > 0]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(run, blocks))
+    samples = np.concatenate(parts)
     hits = int(samples.size)
+    hit_fraction = hits / trials
     if hits:
         p50, p90, p99 = (float(v) for v in np.percentile(samples, [50, 90, 99]))
         mean_ttc = float(samples.mean())
+        mean_ttc_se = float(samples.std()) / math.sqrt(hits)
     else:
-        mean_ttc = p50 = p90 = p99 = None
+        mean_ttc = mean_ttc_se = p50 = p90 = p99 = None
     return SimulationReport(
         trials=trials,
         horizon=horizon,
         seed=seed,
         hits=hits,
-        hit_fraction=hits / trials,
+        hit_fraction=hit_fraction,
+        hit_fraction_se=math.sqrt(hit_fraction * (1.0 - hit_fraction) / trials),
         ttc_samples=samples,
         mean_ttc=mean_ttc,
+        mean_ttc_se=mean_ttc_se,
         p50=p50,
         p90=p90,
         p99=p99,

@@ -289,6 +289,13 @@ def _cmd_matrix(args) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
+def _z_score(simulated, analytic, se) -> float | None:
+    """(simulated - analytic) / se; None when se is 0 or a value is missing."""
+    if analytic is None or not se:
+        return None
+    return (simulated - analytic) / se
+
+
 def _cmd_simulate(args) -> int:
     model = _load_model(args)
     config = _effective_config(model, args)
@@ -305,6 +312,8 @@ def _cmd_simulate(args) -> int:
     payload = report.to_dict()
     payload["analytic_hit_probability"] = analytic_hit
     payload["analytic_mean_ttc"] = analytic_ttc
+    payload["z_hit"] = _z_score(report.hit_fraction, analytic_hit, report.hit_fraction_se)
+    payload["z_ttc"] = _z_score(report.mean_ttc, analytic_ttc, report.mean_ttc_se)
 
     if args.format == "json":
         print(json.dumps(payload, indent=2))

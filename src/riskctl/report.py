@@ -216,7 +216,7 @@ def _check_legacy_matrix(model: ThreatModel) -> CheckResult:
         f"max entry deviation {diff:.4f}; no-detour product {product:.4f} "
         f"(published rounded-entry value {_LEGACY_PUBLISHED_PRODUCT})"
     )
-    return CheckResult(name, diff <= 0.01, detail)
+    return CheckResult(name, bool(diff <= 0.01), detail)
 
 
 def _check_normalization(model: ThreatModel) -> CheckResult:

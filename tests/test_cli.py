@@ -159,6 +159,28 @@ class TestSimulate:
         assert payload["analytic_mean_ttc"] > 0
         assert abs(payload["hit_fraction"] - payload["analytic_hit_probability"]) < 0.05
 
+    def test_standard_errors_and_z_scores(self, capsys):
+        code, out, _ = run(capsys, "simulate", "--id", "1", "--trials", "20000",
+                           "--horizon", "8", "--seed", "3", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["hit_fraction_se"] > 0 and payload["mean_ttc_se"] > 0
+        assert payload["z_hit"] == pytest.approx(
+            (payload["hit_fraction"] - payload["analytic_hit_probability"])
+            / payload["hit_fraction_se"]
+        )
+        assert abs(payload["z_hit"]) < 5
+        assert payload["z_ttc"] is not None
+
+    def test_z_score_is_null_when_standard_error_is_zero(self, capsys):
+        # Every walk hits within the horizon: the hit fraction has no spread.
+        code, out, _ = run(capsys, *self.ARGS, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["hit_fraction"] == 1.0 and payload["hit_fraction_se"] == 0.0
+        assert payload["z_hit"] is None
+        assert "NaN" not in out and "Infinity" not in out
+
     def test_zero_trials(self, capsys):
         code, _, err = run(capsys, "simulate", "--id", "1", "--trials", "0")
         assert code == 1
@@ -234,6 +256,13 @@ class TestVerify:
         lines = [l for l in out.splitlines() if l]
         assert len(lines) == 5
         assert all(l.startswith("PASS") for l in lines)
+
+    def test_json_format(self, capsys):
+        code, out, _ = run(capsys, "verify", "--format", "json")
+        assert code == 0
+        results = json.loads(out)
+        assert len(results) == 5
+        assert all(r["passed"] is True for r in results)
 
     def test_perturbed_model_fails(self, capsys, tmp_path):
         doc = model_to_dict(builtin_paper_model())
