@@ -28,18 +28,13 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .config import AnalysisConfig, ProbabilityLaw
-from .errors import (
-    EmptyPathError,
-    InvalidConfigError,
-    NumericalError,
-    UnreachableTargetError,
-)
-from .model import AttackPath, ThreatModel, resolve_score
+from .errors import EmptyPathError, NumericalError, UnreachableTargetError
+from .model import AttackPath, ScoreSet, ThreatModel, resolve_score
 
 # Trials per random stream.  Block b of a run draws from its own Philox
 # stream keyed by (seed, b); the constant fixes which trials share a
@@ -96,19 +91,9 @@ class SimulationReport:
     p99: float | None
 
     def to_dict(self, include_samples: bool = False) -> dict:
-        out = {
-            "trials": self.trials,
-            "horizon": self.horizon,
-            "seed": self.seed,
-            "hits": self.hits,
-            "hit_fraction": self.hit_fraction,
-            "hit_fraction_se": self.hit_fraction_se,
-            "mean_ttc": self.mean_ttc,
-            "mean_ttc_se": self.mean_ttc_se,
-            "p50": self.p50,
-            "p90": self.p90,
-            "p99": self.p99,
-        }
+        """Every field in declaration order, ``ttc_samples`` (as a list,
+        last) only when asked for."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "ttc_samples"}
         if include_samples:
             out["ttc_samples"] = self.ttc_samples.tolist()
         return out
@@ -125,19 +110,19 @@ def stage_attack_probability(
 
     Exponential law: ``1 - exp(-k * i * f / normalization)``; linear
     law: ``f / normalization`` independent of the index.  Scores above
-    the normalization constant are allowed but warn.
+    the normalization constant are allowed but warn.  ``config`` needs
+    no check here: every ``AnalysisConfig`` was checked when it was
+    built, so this never raises ``InvalidConfigError``.
 
     Raises:
-        ValueError: stage_index < 1 or negative score.
-        InvalidConfigError: non-positive coefficient or normalization.
+        ValueError: stage_index < 1, or a score that is not a valid
+            domain score (see ``ScoreSet.valid_score``).
     """
     if stage_index < 1:
         raise ValueError(f"stage index must be >= 1, got {stage_index}")
-    if score < 0:
-        raise ValueError(f"score must be non-negative, got {score}")
+    if not ScoreSet.valid_score(score):
+        raise ValueError(f"score must be finite and >= 0, got {score}")
     k, norm = config.exponent_coefficient, config.normalization
-    if k <= 0 or norm <= 0:
-        raise InvalidConfigError("exponent coefficient and normalization must be positive")
     if score > norm:
         warnings.warn(
             f"score {score} exceeds normalization constant {norm}", stacklevel=2
@@ -147,19 +132,21 @@ def stage_attack_probability(
     return 1.0 - math.exp(-k * stage_index * score / norm)
 
 
-def _stage_scores(path: AttackPath, model: ThreatModel, config: AnalysisConfig) -> list[float]:
-    return [
-        resolve_score(model, stage.view_domain, config.score_set, config.rounding)
-        for stage in path.stages
-    ]
-
-
 def stage_attack_probabilities(
     path: AttackPath, model: ThreatModel, config: AnalysisConfig | None = None
 ) -> list[float]:
-    """Raw (ungated) attack probability per stage of a path."""
+    """Raw (ungated) attack probability per stage of a path.
+
+    Raises:
+        EmptyPathError: the path has no stages.
+    """
     config = config if config is not None else model.config
-    scores = _stage_scores(path, model, config)
+    if not path.stages:
+        raise EmptyPathError(f"path {path.id!r} has no stages")
+    scores = [
+        resolve_score(model, stage.view_domain, config.score_set, config.rounding)
+        for stage in path.stages
+    ]
     return [
         stage_attack_probability(path.first_stage_index + j, f, config)
         for j, f in enumerate(scores)
@@ -178,8 +165,6 @@ def stage_forward_probabilities(
     gated, and a single-stage path is never gated.
     """
     config = config if config is not None else model.config
-    if not path.stages:
-        raise EmptyPathError(f"path {path.id!r} has no stages")
     m = len(path.stages)
     probs = []
     for j, a in enumerate(stage_attack_probabilities(path, model, config), start=1):
@@ -213,8 +198,6 @@ def build_chain(
     leaving S_{j-1}.
     """
     config = config if config is not None else model.config
-    if not path.stages:
-        raise EmptyPathError(f"path {path.id!r} has no stages")
     a = stage_attack_probabilities(path, model, config)
     m = len(a)
     matrix = np.zeros((m + 1, m + 1))

@@ -11,7 +11,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,15 +35,13 @@ from .model import (
     ViewDomain,
     builtin_paper_model,
     parse_model,
+    resolve_score,
 )
-from .report import build_results_grid, run_verification, stage_series
+from .report import StageSeriesRow, build_results_grid, run_verification, stage_series
 
 _ATTACKER_ORDER = (Attacker.AUTHORIZED, Attacker.UNAUTHORIZED)
 _ORIGIN_ORDER = (ReferenceDomain.CLOUD, ReferenceDomain.INFRA_EDGE, ReferenceDomain.VEHICLE)
-_SERIES_COLUMNS = (
-    "path_id", "stage_pos", "stage_index", "ref_domain", "view_domain",
-    "attack_prob", "forward_prob",
-)
+_SERIES_COLUMNS = [f.name for f in fields(StageSeriesRow)]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,18 +52,45 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _print_table(header: list[str], rows: list[list[str]]) -> None:
+def _table_lines(header: list[str], rows: list[list[str]]) -> list[str]:
     widths = [len(h) for h in header]
     for row in rows:
         widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
-    for line in [header] + rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip())
+    return [
+        "  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
+        for line in [header] + rows
+    ]
 
 
-def _write_csv(header: list[str], rows: list[list]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+def _emit(args, payload, header, rows, cell=str, trailer=(), notes=(), csv_view=None) -> None:
+    """Print a command's result in the format ``args.format`` names.
+
+    json prints ``payload``.  table pads ``header`` and ``rows`` into
+    columns, each cell through ``cell``, then prints the ``trailer``
+    and ``notes`` lines; a None header means no table.  csv writes the
+    ``csv_view`` (header, rows, trailer) triple, by default the table's
+    own, with the cells as they are (None as empty), and sends the
+    ``notes`` to standard error.  A json payload carries its own notes.
+    """
+    if args.format == "json":
+        print(json.dumps(payload, indent=2))
+        return
+    if args.format == "csv":
+        header, rows, trailer = csv_view or (header, rows, trailer)
+        if header is not None:
+            writer = csv.writer(sys.stdout, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+    elif header is not None:
+        trailer = _table_lines(header, [[cell(v) for v in row] for row in rows]) + list(trailer)
+    for line in trailer:
+        print(line)
+    for note in notes:
+        print(note, file=sys.stderr if args.format == "csv" else sys.stdout)
+
+
+def _fixed6(value) -> str:
+    return f"{value:.6f}" if isinstance(value, float) else str(value)
 
 
 def _load_model(args) -> ThreatModel:
@@ -75,32 +100,28 @@ def _load_model(args) -> ThreatModel:
 
 
 def _effective_config(model: ThreatModel, args) -> AnalysisConfig:
-    changes = {}
-    if getattr(args, "score_set", None) is not None:
-        changes["score_set"] = args.score_set
-    if getattr(args, "defence", None) is not None:
-        changes["defence_probability"] = args.defence
-    if getattr(args, "coefficient", None) is not None:
-        changes["exponent_coefficient"] = args.coefficient
-    if getattr(args, "defence_on_final", None):
-        changes["defence_on_final_stage"] = True
+    """The model's config with the common override flags applied; a
+    flag left unset (None) keeps the model's value."""
+    changes = {
+        field: getattr(args, field)
+        for field in ("score_set", "defence_probability", "exponent_coefficient",
+                      "defence_on_final_stage")
+        if getattr(args, field) is not None
+    }
     return replace(model.config, **changes) if changes else model.config
 
 
-def _select_path(model: ThreatModel, args) -> AttackPath:
-    path = model.path(args.id)
-    if getattr(args, "first_index", None) is not None:
-        path = replace(path, first_stage_index=args.first_index)
-    return path
+def _first_index(path: AttackPath, args) -> AttackPath:
+    if args.first_index is None:
+        return path
+    return replace(path, first_stage_index=args.first_index)
 
 
 # ---------------------------------------------------------------------------
 # score
 # ---------------------------------------------------------------------------
 
-def _cmd_score(args) -> int:
-    model = _load_model(args)
-    config = _effective_config(model, args)
+def _cmd_score(args, model: ThreatModel, config: AnalysisConfig) -> int:
     source = args.source if args.source is not None else config.score_set
 
     if args.domain is None:
@@ -132,19 +153,7 @@ def _cmd_score(args) -> int:
                 environmental=breakdown.environmental,
                 formula_total=breakdown.total,
             )
-        if source == FORMULA_SOURCE:
-            if breakdown is None:
-                print(
-                    f"riskctl: error: formula scoring requires a vector for {domain.code}",
-                    file=sys.stderr,
-                )
-                return 1
-            entry["total"] = breakdown.total
-        else:
-            if source not in model.score_sets:
-                print(f"riskctl: error: no score set named {source!r}", file=sys.stderr)
-                return 1
-            entry["total"] = model.score_sets[source].totals[domain]
+        entry["total"] = resolve_score(model, domain, source, config.rounding)
         if breakdown is not None and reference_set is not None:
             published = model.score_sets[reference_set].totals[domain]
             if abs(breakdown.total - published) > 0.05:
@@ -154,32 +163,18 @@ def _cmd_score(args) -> int:
                 )
         entries.append(entry)
 
-    if args.format == "json":
-        print(json.dumps({"scores": entries, "notes": notes}, indent=2))
-    elif args.format == "csv":
-        _write_csv(
-            ["domain", "base", "temporal", "environmental", "total", "source"],
-            [
-                [e["domain"], e.get("base", ""), e.get("temporal", ""),
-                 e.get("environmental", ""), e["total"], e["source"]]
-                for e in entries
-            ],
-        )
-        for note in notes:
-            print(f"note: {note}", file=sys.stderr)
-    else:
-        def fmt(value):
-            return f"{value:.6g}" if isinstance(value, float) else "-"
-        _print_table(
-            ["domain", "base", "temporal", "environmental", "total", "source"],
-            [
-                [e["domain"], fmt(e.get("base")), fmt(e.get("temporal")),
-                 fmt(e.get("environmental")), fmt(e["total"]), e["source"]]
-                for e in entries
-            ],
-        )
-        for note in notes:
-            print(f"note: {note}")
+    _emit(
+        args,
+        {"scores": entries, "notes": notes},
+        ["domain", "base", "temporal", "environmental", "total", "source"],
+        [
+            [e["domain"], e.get("base"), e.get("temporal"), e.get("environmental"),
+             e["total"], e["source"]]
+            for e in entries
+        ],
+        cell=lambda v: f"{v:.6g}" if isinstance(v, float) else "-" if v is None else str(v),
+        notes=[f"note: {note}" for note in notes],
+    )
     return 0
 
 
@@ -188,55 +183,29 @@ def _cmd_score(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _series_rows(rows) -> list[list]:
-    return [
-        [r.path_id, r.stage_pos, r.stage_index, r.ref_domain, r.view_domain,
-         r.attack_prob, r.forward_prob]
-        for r in rows
-    ]
+    return [list(astuple(r)) for r in rows]
 
 
-def _cmd_path(args) -> int:
-    model = _load_model(args)
-    config = _effective_config(model, args)
-    path = _select_path(model, args)
-    rows = stage_series(path, model, config)
+def _cmd_path(args, model: ThreatModel, config: AnalysisConfig) -> int:
+    path = _first_index(model.path(args.id), args)
+    series = _series_rows(stage_series(path, model, config))
     w = realization_probability(path, model, config)
-
-    if args.format == "json":
-        print(json.dumps(
-            {
-                "path_id": path.id,
-                "attacker": path.attacker.value,
-                "origin": path.origin.code,
-                "stages": [
-                    {
-                        "stage_pos": r.stage_pos,
-                        "stage_index": r.stage_index,
-                        "ref_domain": r.ref_domain,
-                        "view_domain": r.view_domain,
-                        "attack_prob": r.attack_prob,
-                        "forward_prob": r.forward_prob,
-                    }
-                    for r in rows
-                ],
-                "realization_probability": w,
-                "percent": 100.0 * w,
-            },
-            indent=2,
-        ))
-    elif args.format == "csv":
-        _write_csv(list(_SERIES_COLUMNS), _series_rows(rows))
-        print(f"# realization_probability,{w!r}")
-    else:
-        _print_table(
-            ["pos", "index", "ref", "domain", "attack_prob", "forward_prob"],
-            [
-                [str(r.stage_pos), str(r.stage_index), r.ref_domain, r.view_domain,
-                 f"{r.attack_prob:.6f}", f"{r.forward_prob:.6f}"]
-                for r in rows
-            ],
-        )
-        print(f"realization probability W = {w:.6f} ({100.0 * w:.2f}%)")
+    _emit(
+        args,
+        {
+            "path_id": path.id,
+            "attacker": path.attacker.value,
+            "origin": path.origin.code,
+            "stages": [dict(zip(_SERIES_COLUMNS[1:], row[1:])) for row in series],
+            "realization_probability": w,
+            "percent": 100.0 * w,
+        },
+        ["pos", "index", "ref", "domain", "attack_prob", "forward_prob"],
+        [row[1:] for row in series],
+        cell=_fixed6,
+        trailer=[f"realization probability W = {w:.6f} ({100.0 * w:.2f}%)"],
+        csv_view=(_SERIES_COLUMNS, series, [f"# realization_probability,{w!r}"]),
+    )
     return 0
 
 
@@ -244,10 +213,8 @@ def _cmd_path(args) -> int:
 # matrix
 # ---------------------------------------------------------------------------
 
-def _cmd_matrix(args) -> int:
-    model = _load_model(args)
-    config = _effective_config(model, args)
-    path = _select_path(model, args)
+def _cmd_matrix(args, model: ThreatModel, config: AnalysisConfig) -> int:
+    path = _first_index(model.path(args.id), args)
     chain = build_chain(path, model, config)
     violations = validate_stochastic(chain)
     if violations:
@@ -255,33 +222,27 @@ def _cmd_matrix(args) -> int:
               file=sys.stderr)
         return 1
     product = float(np.prod(chain.forward_probabilities()))
-
-    if args.format == "json":
-        print(json.dumps(
-            {
-                "path_id": path.id,
-                "states": list(chain.states),
-                "matrix": chain.matrix.tolist(),
-                "stage_probs": list(chain.stage_probs),
-                "forward_path_product": product,
-            },
-            indent=2,
-        ))
-    elif args.format == "csv":
-        _write_csv(
-            ["state"] + list(chain.states),
-            [[state] + list(row) for state, row in zip(chain.states, chain.matrix)],
-        )
-        print(f"# forward_path_product,{product!r}")
-    else:
-        digits = args.round
-        def fmt(value: float) -> str:
-            return f"{value:.{digits}f}" if digits is not None else repr(float(value))
-        _print_table(
-            ["state"] + list(chain.states),
-            [[state] + [fmt(v) for v in row] for state, row in zip(chain.states, chain.matrix)],
-        )
-        print(f"forward path product (no detours): {product:.6f} ({100.0 * product:.2f}%)")
+    header = ["state"] + list(chain.states)
+    rows = [[state] + list(row) for state, row in zip(chain.states, chain.matrix)]
+    digits = args.round
+    _emit(
+        args,
+        {
+            "path_id": path.id,
+            "states": list(chain.states),
+            "matrix": chain.matrix.tolist(),
+            "stage_probs": list(chain.stage_probs),
+            "forward_path_product": product,
+        },
+        header,
+        rows,
+        cell=lambda v: v if isinstance(v, str)
+        else f"{v:.{digits}f}" if digits is not None else repr(float(v)),
+        trailer=[
+            f"forward path product (no detours): {product:.6f} ({100.0 * product:.2f}%)"
+        ],
+        csv_view=(header, rows, [f"# forward_path_product,{product!r}"]),
+    )
     return 0
 
 
@@ -296,10 +257,8 @@ def _z_score(simulated, analytic, se) -> float | None:
     return (simulated - analytic) / se
 
 
-def _cmd_simulate(args) -> int:
-    model = _load_model(args)
-    config = _effective_config(model, args)
-    path = _select_path(model, args)
+def _cmd_simulate(args, model: ThreatModel, config: AnalysisConfig) -> int:
+    path = _first_index(model.path(args.id), args)
     chain = build_chain(path, model, config)
     report = simulate(chain, trials=args.trials, horizon=args.horizon,
                       seed=args.seed, workers=args.workers)
@@ -314,14 +273,14 @@ def _cmd_simulate(args) -> int:
     payload["analytic_mean_ttc"] = analytic_ttc
     payload["z_hit"] = _z_score(report.hit_fraction, analytic_hit, report.hit_fraction_se)
     payload["z_ttc"] = _z_score(report.mean_ttc, analytic_ttc, report.mean_ttc_se)
-
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    elif args.format == "csv":
-        _write_csv(["key", "value"], [[k, "" if v is None else v] for k, v in payload.items()])
-    else:
-        for key, value in payload.items():
-            print(f"{key}: {'-' if value is None else value!r}")
+    _emit(
+        args,
+        payload,
+        None,
+        [],
+        trailer=[f"{k}: {'-' if v is None else repr(v)}" for k, v in payload.items()],
+        csv_view=(["key", "value"], [[k, v] for k, v in payload.items()], []),
+    )
     return 0
 
 
@@ -335,77 +294,63 @@ def _grid_cell_text(cells) -> str:
     if len(cells) == 1:
         return f"{cells[0].percent:.2f}"
     # Variant paths (e.g. ids 2a/2b) share a cell; label by suffix.
-    parts = []
-    for cell in cells:
-        suffix = cell.path_id.lstrip("0123456789") or cell.path_id
-        parts.append(f"{cell.percent:.2f} ({suffix})")
-    return " / ".join(parts)
+    return " / ".join(
+        f"{c.percent:.2f} ({c.path_id.lstrip('0123456789') or c.path_id})" for c in cells
+    )
 
 
-def _cmd_report(args) -> int:
-    model = _load_model(args)
-    config = _effective_config(model, args)
-    if getattr(args, "first_index", None) is not None:
-        model = replace(
-            model,
-            paths=tuple(replace(p, first_stage_index=args.first_index) for p in model.paths),
-        )
+def _cmd_report(args, model: ThreatModel, config: AnalysisConfig) -> int:
+    model = replace(model, paths=tuple(_first_index(p, args) for p in model.paths))
     grid = build_results_grid(model, config)
-    series = [
-        row for path in model.paths for row in stage_series(path, model, config)
-    ] if args.series else []
-
-    if args.format == "json":
-        payload = {
-            "grid": [
-                {
-                    "attacker": attacker.value,
-                    "origin": origin.code,
-                    "cells": [
-                        {"path_id": c.path_id, "probability": c.probability,
-                         "percent": c.percent}
-                        for c in grid.get((attacker, origin), [])
-                    ],
-                }
-                for attacker in _ATTACKER_ORDER
-                for origin in _ORIGIN_ORDER
-            ],
-        }
-        if args.series:
-            payload["series"] = [
-                {col: getattr(r, col) for col in _SERIES_COLUMNS} for r in series
-            ]
-        print(json.dumps(payload, indent=2))
-    elif args.format == "csv":
-        if args.series:
-            _write_csv(list(_SERIES_COLUMNS), _series_rows(series))
-        else:
-            _write_csv(
-                ["attacker", "origin", "path_id", "probability", "percent"],
-                [
-                    [attacker.value, origin.code, c.path_id, c.probability, c.percent]
-                    for attacker in _ATTACKER_ORDER
-                    for origin in _ORIGIN_ORDER
-                    for c in grid.get((attacker, origin), [])
+    cells = [
+        (attacker, origin, grid.get((attacker, origin), []))
+        for attacker in _ATTACKER_ORDER
+        for origin in _ORIGIN_ORDER
+    ]
+    payload = {
+        "grid": [
+            {
+                "attacker": attacker.value,
+                "origin": origin.code,
+                "cells": [
+                    {"path_id": c.path_id, "probability": c.probability, "percent": c.percent}
+                    for c in row
                 ],
-            )
-    else:
-        _print_table(
-            ["attacker"] + [o.display for o in _ORIGIN_ORDER],
-            [
-                [attacker.value]
-                + [_grid_cell_text(grid.get((attacker, origin), []))
-                   for origin in _ORIGIN_ORDER]
-                for attacker in _ATTACKER_ORDER
-            ],
+            }
+            for attacker, origin, row in cells
+        ],
+    }
+    csv_view = (
+        ["attacker", "origin", "path_id", "probability", "percent"],
+        [
+            [attacker.value, origin.code, c.path_id, c.probability, c.percent]
+            for attacker, origin, row in cells
+            for c in row
+        ],
+        [],
+    )
+    trailer = []
+    if args.series:
+        series = _series_rows(
+            row for path in model.paths for row in stage_series(path, model, config)
         )
-        if args.series:
-            print()
-            _print_table(
-                list(_SERIES_COLUMNS),
-                [[str(v) if not isinstance(v, float) else f"{v:.6f}" for v in row]
-                 for row in _series_rows(series)],
-            )
+        payload["series"] = [dict(zip(_SERIES_COLUMNS, row)) for row in series]
+        csv_view = (_SERIES_COLUMNS, series, [])
+        trailer = [""] + _table_lines(
+            _SERIES_COLUMNS, [[_fixed6(v) for v in row] for row in series]
+        )
+    _emit(
+        args,
+        payload,
+        ["attacker"] + [o.display for o in _ORIGIN_ORDER],
+        [
+            [attacker.value]
+            + [_grid_cell_text(grid.get((attacker, origin), [])) for origin in _ORIGIN_ORDER]
+            for attacker in _ATTACKER_ORDER
+        ],
+        trailer=trailer,
+        csv_view=csv_view,
+    )
     return 0
 
 
@@ -413,21 +358,19 @@ def _cmd_report(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _cmd_verify(args) -> int:
-    model = _load_model(args)
-    config = _effective_config(model, args)
+def _cmd_verify(args, model: ThreatModel, config: AnalysisConfig) -> int:
     if config != model.config:
         model = replace(model, config=config)
     results = run_verification(model)
-    if args.format == "json":
-        print(json.dumps(
-            [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
-            indent=2,
-        ))
-    else:
-        for result in results:
-            status = "PASS" if result.passed else "FAIL"
-            print(f"{status} {result.name}: {result.detail}")
+    _emit(
+        args,
+        [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
+        None,
+        [],
+        trailer=[
+            f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results
+        ],
+    )
     return 0 if all(r.passed for r in results) else 2
 
 
@@ -443,11 +386,11 @@ def _build_parser() -> _Parser:
                         help="output format (default: table)")
     common.add_argument("--score-set", dest="score_set", metavar="NAME",
                         help="score source: a named score set or 'formula'")
-    common.add_argument("--d", dest="defence", type=float, metavar="PROB",
+    common.add_argument("--d", dest="defence_probability", type=float, metavar="PROB",
                         help="override the defence probability")
-    common.add_argument("--k", dest="coefficient", type=float, metavar="REAL",
+    common.add_argument("--k", dest="exponent_coefficient", type=float, metavar="REAL",
                         help="override the exponent coefficient")
-    common.add_argument("--defence-on-final", dest="defence_on_final",
+    common.add_argument("--defence-on-final", dest="defence_on_final_stage",
                         action="store_true", default=None,
                         help="gate the final stage by (1 - d) as well")
     common.add_argument("--first-index", dest="first_index", type=int, metavar="N",
@@ -502,7 +445,8 @@ def _build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        model = _load_model(args)
+        return args.func(args, model, _effective_config(model, args))
     except (RiskctlError, OSError, ValueError) as exc:
         print(f"riskctl: error: {exc}", file=sys.stderr)
         return 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -47,18 +48,20 @@ class AnalysisConfig:
         d = self.defence_probability
         values = d if isinstance(d, tuple) else (d,)
         if not values:
-            raise InvalidConfigError("defence probability tuple must be non-empty")
+            raise InvalidConfigError(
+                "defence probability tuple must be non-empty", "defence_probability"
+            )
         for value in values:
             if not 0.0 <= value <= 1.0:
-                raise InvalidConfigError(f"defence probability {value} outside [0, 1]")
-        if self.exponent_coefficient <= 0:
-            raise InvalidConfigError(
-                f"exponent coefficient must be positive, got {self.exponent_coefficient}"
-            )
-        if self.normalization <= 0:
-            raise InvalidConfigError(
-                f"normalization must be positive, got {self.normalization}"
-            )
+                raise InvalidConfigError(
+                    f"defence probability {value} outside [0, 1]", "defence_probability"
+                )
+        for name in ("exponent_coefficient", "normalization"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise InvalidConfigError(
+                    f"{name.replace('_', ' ')} must be positive and finite, got {value}", name
+                )
 
     def defence_at(self, stage_position: int) -> float:
         """Defense probability applied at a 1-based stage position."""

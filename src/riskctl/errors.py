@@ -31,8 +31,17 @@ class EmptyPathError(RiskctlError):
     """An attack path with no stages cannot be analyzed."""
 
 
-class InvalidConfigError(RiskctlError):
-    """An analysis configuration value is out of its allowed range."""
+class InvalidConfigError(RiskctlError, ValueError):
+    """A configuration or model value is out of its allowed range.
+
+    ``field`` names the rejected attribute (an ``AnalysisConfig`` field,
+    or a score set's domain code), or is None.  Document parsing turns
+    it into the field path of a :class:`ValidationError`.
+    """
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class UnreachableTargetError(RiskctlError):

@@ -14,10 +14,12 @@ See :func:`parse_model` for the full schema.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
+from functools import partial
 from enum import Enum
 from importlib import resources
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from .config import FORMULA_SOURCE, AnalysisConfig, ProbabilityLaw
 from .cvss import (
@@ -30,6 +32,7 @@ from .cvss import (
 )
 from .errors import (
     DocumentSyntaxError,
+    InvalidConfigError,
     MissingVectorError,
     UnknownPathError,
     UnknownScoreSetError,
@@ -137,7 +140,11 @@ class AttackPath:
 
 @dataclass(frozen=True)
 class ScoreSet:
-    """Named mapping from view domain to total score."""
+    """Named mapping from view domain to total score.
+
+    Every domain needs a total, and every total is a valid score (see
+    :meth:`valid_score`).
+    """
 
     name: str
     totals: Mapping[ViewDomain, float]
@@ -145,15 +152,28 @@ class ScoreSet:
     def __post_init__(self):
         missing = [d.code for d in ViewDomain if d not in self.totals]
         if missing:
-            raise ValueError(f"score set {self.name!r} missing domains: {missing}")
+            raise InvalidConfigError(f"score set {self.name!r} missing domains: {missing}")
         for domain, value in self.totals.items():
-            if value < 0:
-                raise ValueError(f"score set {self.name!r} {domain.code} = {value} < 0")
+            if not ScoreSet.valid_score(value):
+                raise InvalidConfigError(
+                    f"score set {self.name!r} {domain.code} = {value}, "
+                    "expected a finite number >= 0",
+                    domain.code,
+                )
+
+    @staticmethod
+    def valid_score(value: float) -> bool:
+        """A domain score is finite and non-negative."""
+        return 0.0 <= value < math.inf
 
 
 @dataclass(frozen=True)
 class ThreatModel:
-    """Immutable bundle of score sources, defense, config, and paths."""
+    """Immutable bundle of score sources, defense, config, and paths.
+
+    A per-stage defence tuple needs an entry for every stage position of
+    the longest path.
+    """
 
     score_sets: Mapping[str, ScoreSet] = field(default_factory=dict)
     vectors: Mapping[ViewDomain, CvssVector] | None = None
@@ -164,6 +184,14 @@ class ThreatModel:
     def __post_init__(self):
         if not self.score_sets and not self.vectors:
             raise ValueError("model needs at least one score source (vectors or a score set)")
+        d = self.config.defence_probability
+        longest = max((len(p.stages) for p in self.paths), default=0)
+        if isinstance(d, tuple) and len(d) < longest:
+            raise InvalidConfigError(
+                f"per-stage defence tuple of length {len(d)} is shorter than "
+                f"the longest path ({longest} stages)",
+                "defence_probability",
+            )
 
     @property
     def defence_probability(self) -> float | tuple[float, ...]:
@@ -235,108 +263,13 @@ def validate_path(model: ThreatModel, path: AttackPath) -> list[str]:
 def builtin_paper_model() -> ThreatModel:
     """The built-in IoV location-service threat model.
 
-    Carries the four published view-domain vectors, the two reference
-    score sets ("paper-published" totals and the "legacy" totals from
-    the earlier revision of the same assessment), defense probability
-    0.1, and the six evaluated attack paths.
+    Parsed from the shipped document (:func:`paper_model_document`),
+    which carries the four published view-domain vectors, the two
+    reference score sets ("paper-published" totals and the "legacy"
+    totals from the earlier revision of the same assessment), defense
+    probability 0.1, and the six evaluated attack paths.
     """
-    vectors = {
-        ViewDomain.DATA: CvssVector(
-            av="R", ac="H", a="N", ci="P", ii="C", ai="P", ib="I",
-            e="PoC", rl="TF", rc="UCB", cdp="H", td="M",
-        ),
-        ViewDomain.SOFTWARE: CvssVector(
-            av="R", ac="H", a="R", ci="C", ii="C", ai="C", ib="A",
-            e="U", rl="OF", rc="UCF", cdp="H", td="L",
-        ),
-        ViewDomain.NETWORKING: CvssVector(
-            av="R", ac="L", a="R", ci="P", ii="C", ai="P", ib="I",
-            e="F", rl="TF", rc="UCB", cdp="M", td="H",
-        ),
-        ViewDomain.HARDWARE: CvssVector(
-            av="R", ac="H", a="R", ci="P", ii="P", ai="P", ib="N",
-            e="PoC", rl="OF", rc="UCF", cdp="M", td="L",
-        ),
-    }
-    score_sets = {
-        "paper-published": ScoreSet(
-            name="paper-published",
-            totals={
-                ViewDomain.DATA: 17.7,
-                ViewDomain.SOFTWARE: 9.6,
-                ViewDomain.NETWORKING: 14.5,
-                ViewDomain.HARDWARE: 7.0,
-            },
-        ),
-        "legacy": ScoreSet(
-            name="legacy",
-            totals={
-                ViewDomain.DATA: 21.1,
-                ViewDomain.SOFTWARE: 8.1,
-                ViewDomain.NETWORKING: 15.0,
-                ViewDomain.HARDWARE: 7.0,
-            },
-        ),
-    }
-
-    C, I, V = ReferenceDomain.CLOUD, ReferenceDomain.INFRA_EDGE, ReferenceDomain.VEHICLE
-    DATA, SW, NET, HW = (
-        ViewDomain.DATA, ViewDomain.SOFTWARE, ViewDomain.NETWORKING, ViewDomain.HARDWARE,
-    )
-    paths = (
-        AttackPath(
-            id="1", attacker=Attacker.UNAUTHORIZED, origin=C,
-            stages=(
-                AttackStage(C, NET, "Browser redirect attack and shell access"),
-                AttackStage(C, SW, "Privilege escalation"),
-                AttackStage(V, NET, "Access to ECU"),
-                AttackStage(V, DATA, "CAN bus attack"),
-            ),
-        ),
-        AttackPath(
-            id="2a", attacker=Attacker.UNAUTHORIZED, origin=I,
-            stages=(
-                AttackStage(I, HW, "Road sign attack"),
-                AttackStage(I, DATA, "Road sign distortion"),
-                AttackStage(V, DATA, "Camera image data modification"),
-            ),
-        ),
-        AttackPath(
-            id="2b", attacker=Attacker.UNAUTHORIZED, origin=I,
-            stages=(
-                AttackStage(I, NET, "Road sign attack"),
-                AttackStage(I, DATA, "Road sign distortion"),
-                AttackStage(V, DATA, "Camera image data modification"),
-            ),
-        ),
-        AttackPath(
-            id="3", attacker=Attacker.UNAUTHORIZED, origin=V,
-            stages=(
-                AttackStage(V, NET, "Eavesdropping wireless TPMS"),
-                AttackStage(V, SW, "Reverse engineering attack"),
-                AttackStage(V, DATA, "Packet injection attack"),
-            ),
-        ),
-        AttackPath(
-            id="4", attacker=Attacker.AUTHORIZED, origin=C, origin_aliases=(I,),
-            stages=(
-                AttackStage(V, SW, "Malicious software update"),
-                AttackStage(V, DATA, "Driver assistance attack"),
-            ),
-        ),
-        AttackPath(
-            id="5", attacker=Attacker.AUTHORIZED, origin=V,
-            stages=(
-                AttackStage(V, DATA, "Disabled ECU hardening and CAN replay attack"),
-            ),
-        ),
-    )
-    return ThreatModel(
-        score_sets=score_sets,
-        vectors=vectors,
-        paths=paths,
-        config=AnalysisConfig(defence_probability=0.1),
-    )
+    return parse_model(paper_model_document())
 
 
 def paper_model_document() -> str:
@@ -348,13 +281,13 @@ def paper_model_document() -> str:
 # Document parsing
 # ---------------------------------------------------------------------------
 
-_TOP_KEYS = {"score_sets", "vectors", "defence", "config", "paths", "weight_table"}
-_CONFIG_KEYS = {
-    "exponent_coefficient", "normalization", "defence_on_final_stage",
-    "score_set", "rounding", "probability_law",
+_TOP_KEYS = ("score_sets", "vectors", "defence", "config", "paths", "weight_table")
+# Document path of each AnalysisConfig field its checks can reject.
+_CONFIG_PATHS = {
+    "defence_probability": "defence.probability",
+    "exponent_coefficient": "config.exponent_coefficient",
+    "normalization": "config.normalization",
 }
-_STAGE_KEYS = {"ref", "domain", "desc"}
-_PATH_KEYS = {"id", "attacker", "origin", "first_stage_index", "stages"}
 
 
 def _expect_object(value: Any, path: str) -> dict:
@@ -366,7 +299,13 @@ def _expect_object(value: Any, path: str) -> dict:
 def _expect_number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValidationError(path, f"expected a finite number, got {value!r}")
+    return number
 
 
 def _expect_string(value: Any, path: str) -> str:
@@ -375,10 +314,19 @@ def _expect_string(value: Any, path: str) -> str:
     return value
 
 
-def _reject_unknown(obj: dict, allowed: set[str], path: str) -> None:
-    unknown = sorted(set(obj) - allowed)
+def _expect_bool(value: Any, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValidationError(path, f"expected a boolean, got {value!r}")
+    return value
+
+
+def _check_keys(obj: dict, path: str, required: tuple[str, ...], optional: Iterable[str] = ()) -> None:
+    unknown = sorted(set(obj) - set(required) - set(optional))
     if unknown:
         raise ValidationError(path, f"unknown key(s): {', '.join(unknown)}")
+    for key in required:
+        if key not in obj:
+            raise ValidationError(path, f"missing key {key!r}")
 
 
 def _enum_from_code(enum_cls, value: Any, path: str):
@@ -398,37 +346,32 @@ def _parse_score_sets(raw: Any) -> dict[str, ScoreSet]:
         if not name or name == FORMULA_SOURCE:
             raise ValidationError(path, f"reserved or empty score-set name {name!r}")
         entry = _expect_object(entry, path)
-        _reject_unknown(entry, {d.code for d in ViewDomain}, path)
-        totals: dict[ViewDomain, float] = {}
-        for domain in ViewDomain:
-            if domain.code not in entry:
-                raise ValidationError(path, f"missing domain {domain.code!r}")
-            value = _expect_number(entry[domain.code], f"{path}.{domain.code}")
-            if value < 0:
-                raise ValidationError(f"{path}.{domain.code}", f"score {value} < 0")
-            totals[domain] = value
-        sets[name] = ScoreSet(name=name, totals=totals)
+        _check_keys(entry, path, (), [d.code for d in ViewDomain])
+        totals = {
+            ViewDomain(code): _expect_number(value, f"{path}.{code}")
+            for code, value in entry.items()
+        }
+        try:
+            sets[name] = ScoreSet(name=name, totals=totals)
+        except InvalidConfigError as exc:
+            raise ValidationError(f"{path}.{exc.field}" if exc.field else path, str(exc)) from None
     return sets
 
 
 def _parse_vectors(raw: Any, table: WeightTable) -> dict[ViewDomain, CvssVector]:
     raw = _expect_object(raw, "vectors")
     vectors: dict[ViewDomain, CvssVector] = {}
-    lower = [p.lower() for p in PARAMETERS]
+    lower = tuple(p.lower() for p in PARAMETERS)
     for code, entry in raw.items():
         domain = _enum_from_code(ViewDomain, code, f"vectors.{code}")
         path = f"vectors.{code}"
         entry = _expect_object(entry, path)
-        _reject_unknown(entry, set(lower), path)
+        _check_keys(entry, path, lower)
         labels: dict[str, str] = {}
         for parameter, key in zip(PARAMETERS, lower):
-            if key not in entry:
-                raise ValidationError(path, f"missing parameter {key!r}")
             label = _expect_string(entry[key], f"{path}.{key}")
-            if parameter == "IB":
-                if label not in table.impact_bias:
-                    raise ValidationError(f"{path}.{key}", f"unknown label {label!r}")
-            elif label not in table.weights.get(parameter, {}):
+            known = table.impact_bias if parameter == "IB" else table.weights.get(parameter, {})
+            if label not in known:
                 raise ValidationError(f"{path}.{key}", f"unknown label {label!r}")
             labels[key] = label
         vectors[domain] = CvssVector(**labels)
@@ -437,8 +380,7 @@ def _parse_vectors(raw: Any, table: WeightTable) -> dict[ViewDomain, CvssVector]
 
 def _parse_weight_table(raw: Any) -> WeightTable:
     raw = _expect_object(raw, "weight_table")
-    allowed = {p.lower() for p in PARAMETERS}
-    _reject_unknown(raw, allowed, "weight_table")
+    _check_keys(raw, "weight_table", (), [p.lower() for p in PARAMETERS])
     weights = {p: dict(DEFAULT_WEIGHT_TABLE.weights[p]) for p in PARAMETERS if p != "IB"}
     impact_bias = dict(DEFAULT_WEIGHT_TABLE.impact_bias)
     for key, entry in raw.items():
@@ -467,37 +409,26 @@ def _parse_weight_table(raw: Any) -> WeightTable:
         raise ValidationError("weight_table", str(exc)) from None
 
 
-def _parse_config(raw: Any, defence: float, score_sets: dict, has_vectors: bool) -> AnalysisConfig:
+# The parser of each `config` key, in document order.
+_CONFIG_FIELDS = {
+    "exponent_coefficient": _expect_number,
+    "normalization": _expect_number,
+    "defence_on_final_stage": _expect_bool,
+    "score_set": _expect_string,
+    "rounding": partial(_enum_from_code, Rounding),
+    "probability_law": partial(_enum_from_code, ProbabilityLaw),
+}
+
+
+def _parse_config(
+    raw: Any, defence: float | tuple[float, ...] | None, score_sets: dict, has_vectors: bool
+) -> AnalysisConfig:
     raw = _expect_object(raw, "config") if raw is not None else {}
-    _reject_unknown(raw, _CONFIG_KEYS, "config")
-    kwargs: dict[str, Any] = {"defence_probability": defence}
-    if "exponent_coefficient" in raw:
-        kwargs["exponent_coefficient"] = _expect_number(
-            raw["exponent_coefficient"], "config.exponent_coefficient"
-        )
-    if "normalization" in raw:
-        kwargs["normalization"] = _expect_number(raw["normalization"], "config.normalization")
-    if "defence_on_final_stage" in raw:
-        value = raw["defence_on_final_stage"]
-        if not isinstance(value, bool):
-            raise ValidationError("config.defence_on_final_stage", f"expected a boolean, got {value!r}")
-        kwargs["defence_on_final_stage"] = value
-    if "rounding" in raw:
-        code = _expect_string(raw["rounding"], "config.rounding")
-        try:
-            kwargs["rounding"] = Rounding(code)
-        except ValueError:
-            raise ValidationError("config.rounding", f"unknown mode {code!r} (expected paper|raw)") from None
-    if "probability_law" in raw:
-        kwargs["probability_law"] = _enum_from_code(
-            ProbabilityLaw, raw["probability_law"], "config.probability_law"
-        )
-    if "score_set" in raw:
-        kwargs["score_set"] = _expect_string(raw["score_set"], "config.score_set")
-    elif score_sets:
-        kwargs["score_set"] = next(iter(score_sets))
-    else:
-        kwargs["score_set"] = FORMULA_SOURCE
+    _check_keys(raw, "config", (), _CONFIG_FIELDS)
+    kwargs = {key: _CONFIG_FIELDS[key](value, f"config.{key}") for key, value in raw.items()}
+    if defence is not None:
+        kwargs["defence_probability"] = defence
+    kwargs.setdefault("score_set", next(iter(score_sets), FORMULA_SOURCE))
 
     selected = kwargs["score_set"]
     if selected == FORMULA_SOURCE:
@@ -506,19 +437,13 @@ def _parse_config(raw: Any, defence: float, score_sets: dict, has_vectors: bool)
     elif selected not in score_sets:
         raise ValidationError("config.score_set", f"unknown score set {selected!r}")
 
-    try:
-        return AnalysisConfig(**kwargs)
-    except Exception as exc:
-        raise ValidationError("config", str(exc)) from None
+    return AnalysisConfig(**kwargs)
 
 
 def _parse_path(raw: Any, index: int) -> AttackPath:
     path = f"paths[{index}]"
     raw = _expect_object(raw, path)
-    _reject_unknown(raw, _PATH_KEYS, path)
-    for key in ("id", "attacker", "origin", "stages"):
-        if key not in raw:
-            raise ValidationError(path, f"missing key {key!r}")
+    _check_keys(raw, path, ("id", "attacker", "origin", "stages"), ("first_stage_index",))
 
     raw_id = raw["id"]
     if isinstance(raw_id, bool) or not isinstance(raw_id, (str, int)):
@@ -556,10 +481,7 @@ def _parse_path(raw: Any, index: int) -> AttackPath:
     for i, entry in enumerate(stages_raw):
         spath = f"{path}.stages[{i}]"
         entry = _expect_object(entry, spath)
-        _reject_unknown(entry, _STAGE_KEYS, spath)
-        for key in ("ref", "domain", "desc"):
-            if key not in entry:
-                raise ValidationError(spath, f"missing key {key!r}")
+        _check_keys(entry, spath, ("ref", "domain", "desc"))
         desc = _expect_string(entry["desc"], f"{spath}.desc")
         if not desc:
             raise ValidationError(f"{spath}.desc", "description must be non-empty")
@@ -603,8 +525,11 @@ def parse_model(document: str) -> ThreatModel:
     Domain codes: ``data|software|networking|hardware``; ref codes:
     ``cloud|infra_edge|vehicle``.  At least one score source
     (``vectors`` or a score set) must be present.  ``weight_table``
-    entries replace the default table per parameter.  Unknown keys are
-    rejected.
+    entries replace the default table per parameter.  Unknown keys,
+    NaN and infinite numbers are rejected.  A ``defence.probability``
+    array needs an entry for every stage of the longest path.  Value
+    ranges are checked by the value objects (``AnalysisConfig``,
+    ``ScoreSet``, ``ThreatModel``); their errors get the field path here.
 
     Raises:
         DocumentSyntaxError: malformed JSON.
@@ -615,7 +540,7 @@ def parse_model(document: str) -> ThreatModel:
     except json.JSONDecodeError as exc:
         raise DocumentSyntaxError(f"malformed document: {exc}") from None
     raw = _expect_object(raw, "$")
-    _reject_unknown(raw, _TOP_KEYS, "$")
+    _check_keys(raw, "$", (), _TOP_KEYS)
 
     table = _parse_weight_table(raw["weight_table"]) if "weight_table" in raw else DEFAULT_WEIGHT_TABLE
     score_sets = _parse_score_sets(raw["score_sets"]) if "score_sets" in raw else {}
@@ -623,12 +548,10 @@ def parse_model(document: str) -> ThreatModel:
     if not score_sets and not vectors:
         raise ValidationError("$", "model needs at least one score source (vectors or score_sets)")
 
-    defence: float | tuple[float, ...] = 0.1
+    defence: float | tuple[float, ...] | None = None
     if "defence" in raw:
         entry = _expect_object(raw["defence"], "defence")
-        _reject_unknown(entry, {"probability"}, "defence")
-        if "probability" not in entry:
-            raise ValidationError("defence", "missing key 'probability'")
+        _check_keys(entry, "defence", ("probability",))
         value = entry["probability"]
         # Scalar d, or a per-stage-position array (forward-compatible form).
         if isinstance(value, list):
@@ -637,11 +560,6 @@ def parse_model(document: str) -> ThreatModel:
             )
         else:
             defence = _expect_number(value, "defence.probability")
-        for v in defence if isinstance(defence, tuple) else (defence,):
-            if not 0.0 <= v <= 1.0:
-                raise ValidationError("defence.probability", f"value {v} outside [0, 1]")
-
-    config = _parse_config(raw.get("config"), defence, score_sets, vectors is not None)
 
     paths: list[AttackPath] = []
     if "paths" in raw:
@@ -655,13 +573,19 @@ def parse_model(document: str) -> ThreatModel:
             seen.add(parsed.id)
             paths.append(parsed)
 
-    return ThreatModel(
-        score_sets=score_sets,
-        vectors=vectors,
-        paths=tuple(paths),
-        config=config,
-        weight_table=table,
-    )
+    # The value objects check their own ranges; a rejected field gets its
+    # document path here.
+    try:
+        config = _parse_config(raw.get("config"), defence, score_sets, vectors is not None)
+        return ThreatModel(
+            score_sets=score_sets,
+            vectors=vectors,
+            paths=tuple(paths),
+            config=config,
+            weight_table=table,
+        )
+    except InvalidConfigError as exc:
+        raise ValidationError(_CONFIG_PATHS.get(exc.field, "config"), str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -690,14 +614,8 @@ def model_to_dict(model: ThreatModel) -> dict[str, Any]:
         if isinstance(cfg.defence_probability, tuple)
         else cfg.defence_probability
     }
-    doc["config"] = {
-        "exponent_coefficient": cfg.exponent_coefficient,
-        "normalization": cfg.normalization,
-        "defence_on_final_stage": cfg.defence_on_final_stage,
-        "score_set": cfg.score_set,
-        "rounding": cfg.rounding.value,
-        "probability_law": cfg.probability_law.value,
-    }
+    values = {key: getattr(cfg, key) for key in _CONFIG_FIELDS}
+    doc["config"] = {k: v.value if isinstance(v, Enum) else v for k, v in values.items()}
     doc["paths"] = [
         {
             "id": p.id,

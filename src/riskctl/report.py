@@ -101,10 +101,10 @@ _EXPECTED_COLUMNS = {
     ViewDomain.DATA: (6.8, 5.2, 5.7, 17.7),
     ViewDomain.SOFTWARE: (4.8, 3.2, 1.6, 9.6),
     ViewDomain.HARDWARE: (3.4, 2.4, 1.2, 7.0),
+    # Networking: base and temporal reproduce exactly; the formula yields
+    # environmental 5.9 (total 15.1) while the published set totals 14.5.
+    ViewDomain.NETWORKING: (5.1, 4.1, 5.9, 15.1),
 }
-# Networking: base and temporal reproduce exactly; the formula yields
-# environmental 5.9 (total 15.1) while the published set totals 14.5.
-_EXPECTED_NETWORKING = (5.1, 4.1, 5.9, 15.1)
 _PUBLISHED_NETWORKING_TOTAL = 14.5
 
 _EXPECTED_ID1_STAGES = (0.4946, 0.53541, 0.78381, 0.9643)
@@ -134,8 +134,7 @@ def _check_cvss_columns(model: ThreatModel) -> CheckResult:
     if not model.vectors:
         return CheckResult(name, False, "model has no vectors to score")
     failures = []
-    details = []
-    for domain, expected in {**_EXPECTED_COLUMNS, ViewDomain.NETWORKING: _EXPECTED_NETWORKING}.items():
+    for domain, expected in _EXPECTED_COLUMNS.items():
         if domain not in model.vectors:
             failures.append(f"{domain.code}: no vector")
             continue
@@ -143,17 +142,15 @@ def _check_cvss_columns(model: ThreatModel) -> CheckResult:
         actual = (b.base, b.temporal, b.environmental, b.total)
         if any(abs(a - e) > 1e-9 for a, e in zip(actual, expected)):
             failures.append(f"{domain.code}: expected {expected}, got {actual}")
-    total = score_breakdown(
-        model.vectors[ViewDomain.NETWORKING], model.weight_table, Rounding.PAPER
-    ).total if ViewDomain.NETWORKING in model.vectors else None
-    if total is not None:
-        details.append(
-            f"networking formula total {total:.1f} diverges from published "
-            f"{_PUBLISHED_NETWORKING_TOTAL} (reported, not reconciled)"
-        )
     if failures:
         return CheckResult(name, False, "; ".join(failures))
-    return CheckResult(name, True, "; ".join(["all four columns reproduced"] + details))
+    # Passing pins the networking formula total to its expected value.
+    networking = _EXPECTED_COLUMNS[ViewDomain.NETWORKING][3]
+    return CheckResult(
+        name, True,
+        f"all four columns reproduced; networking formula total {networking:.1f} diverges "
+        f"from published {_PUBLISHED_NETWORKING_TOTAL} (reported, not reconciled)",
+    )
 
 
 def _check_stage_probabilities(model: ThreatModel) -> CheckResult:

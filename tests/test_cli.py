@@ -181,6 +181,16 @@ class TestSimulate:
         assert payload["z_hit"] is None
         assert "NaN" not in out and "Infinity" not in out
 
+    def test_table_prints_missing_values_as_dash(self, capsys):
+        # One step is too short to hit: no TTC statistics, and SE 0.
+        code, out, _ = run(capsys, "simulate", "--id", "1", "--horizon", "1",
+                           "--trials", "100")
+        assert code == 0
+        lines = out.splitlines()
+        for key in ("mean_ttc", "mean_ttc_se", "p50", "z_hit", "z_ttc"):
+            assert f"{key}: -" in lines
+        assert "'-'" not in out
+
     def test_zero_trials(self, capsys):
         code, _, err = run(capsys, "simulate", "--id", "1", "--trials", "0")
         assert code == 1
@@ -278,6 +288,34 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--model", "/nonexistent/model.json")
         assert code == 1
         assert err
+
+
+class TestNonFiniteFlags:
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_coefficient_rejected(self, capsys, value):
+        code, out, err = run(capsys, "path", "--id", "1", "--k", value)
+        assert code == 1
+        assert out == ""
+        assert "exponent coefficient" in err
+
+    def test_defence_nan_rejected(self, capsys):
+        code, out, err = run(capsys, "path", "--id", "1", "--d", "nan")
+        assert code == 1
+        assert out == "" and "defence probability" in err
+
+
+class TestFormulaWithoutVector:
+    def test_score_formula_needs_vector(self, capsys, tmp_path):
+        doc = model_to_dict(builtin_paper_model())
+        del doc["vectors"]["hardware"]
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "score", "--model", str(path), "--source", "formula")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "riskctl: error: formula scoring requested but model has no vector for hardware\n"
+        )
 
 
 class TestUsageErrors:

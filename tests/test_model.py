@@ -13,6 +13,7 @@ from riskctl import (
     ProbabilityLaw,
     ReferenceDomain,
     Rounding,
+    ScoreSet,
     ThreatModel,
     ViewDomain,
     builtin_paper_model,
@@ -25,6 +26,7 @@ from riskctl import (
 )
 from riskctl.errors import (
     DocumentSyntaxError,
+    InvalidConfigError,
     MissingVectorError,
     UnknownPathError,
     UnknownScoreSetError,
@@ -336,3 +338,87 @@ class TestThreatModelInvariants:
             assert realization_probability(original, model) == realization_probability(
                 renamed_path, renamed
             )
+
+
+class TestRejectsNonFiniteAndShortDefence:
+    """NaN/infinity and per-stage defence arrays too short for the paths."""
+
+    def test_document_nan_score(self):
+        doc = json.loads(json.dumps(MINIMAL_DOC))
+        doc["score_sets"]["default"]["data"] = float("nan")
+        with pytest.raises(ValidationError) as info:
+            parse_model(json.dumps(doc))
+        assert info.value.path == "score_sets.default.data"
+
+    def test_document_nan_exponent_coefficient(self):
+        doc = dict(MINIMAL_DOC, config={"exponent_coefficient": float("nan")})
+        with pytest.raises(ValidationError) as info:
+            parse_model(json.dumps(doc))
+        assert info.value.path == "config.exponent_coefficient"
+
+    def test_document_infinite_normalization(self):
+        doc = dict(MINIMAL_DOC, config={"normalization": float("inf")})
+        with pytest.raises(ValidationError) as info:
+            parse_model(json.dumps(doc))
+        assert info.value.path == "config.normalization"
+
+    def test_integer_beyond_float_range(self):
+        document = json.dumps(MINIMAL_DOC).replace("17.7", "1" + "0" * 400)
+        with pytest.raises(ValidationError) as info:
+            parse_model(document)
+        assert info.value.path == "score_sets.default.data"
+
+    def test_value_objects_reject_non_finite(self):
+        with pytest.raises(InvalidConfigError):
+            AnalysisConfig(exponent_coefficient=float("nan"))
+        with pytest.raises(InvalidConfigError):
+            AnalysisConfig(exponent_coefficient=float("inf"))
+        with pytest.raises(InvalidConfigError):
+            AnalysisConfig(normalization=float("inf"))
+        totals = {d: 1.0 for d in ViewDomain}
+        for bad in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValueError) as info:
+                ScoreSet(name="s", totals={**totals, ViewDomain.DATA: bad})
+            assert info.value.field == "data"
+
+    def test_short_defence_array(self, model):
+        doc = model_to_dict(model)
+        doc["defence"]["probability"] = [0.1, 0.2]
+        with pytest.raises(ValidationError) as info:
+            parse_model(json.dumps(doc))
+        assert info.value.path == "defence.probability"
+        with pytest.raises(InvalidConfigError):
+            replace(model, config=replace(model.config, defence_probability=(0.1, 0.2, 0.3)))
+
+
+class TestRangeErrorsKeepFieldPaths:
+    """Range rules live in the value objects; parse_model adds the path."""
+
+    @pytest.mark.parametrize(
+        "change,path",
+        [
+            ({"defence": {"probability": 1.5}}, "defence.probability"),
+            ({"defence": {"probability": [0.1, -0.2]}}, "defence.probability"),
+            ({"defence": {"probability": []}}, "defence.probability"),
+            ({"config": {"exponent_coefficient": 0}}, "config.exponent_coefficient"),
+            ({"config": {"normalization": -1}}, "config.normalization"),
+        ],
+    )
+    def test_config_fields(self, change, path):
+        with pytest.raises(ValidationError) as info:
+            parse_model(json.dumps(dict(MINIMAL_DOC, **change)))
+        assert info.value.path == path
+
+    def test_negative_score(self):
+        doc = json.loads(json.dumps(MINIMAL_DOC))
+        doc["score_sets"]["default"]["software"] = -0.5
+        with pytest.raises(ValidationError) as info:
+            parse_model(json.dumps(doc))
+        assert info.value.path == "score_sets.default.software"
+
+    def test_missing_domain_names_the_set(self):
+        doc = json.loads(json.dumps(MINIMAL_DOC))
+        del doc["score_sets"]["default"]["hardware"]
+        with pytest.raises(ValidationError) as info:
+            parse_model(json.dumps(doc))
+        assert info.value.path == "score_sets.default"
