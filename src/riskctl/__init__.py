@@ -7,19 +7,6 @@ realization probabilities and time-to-compromise statistics, both
 analytically and by seeded Monte Carlo simulation.
 """
 
-from .chain import (
-    MarkovChain,
-    SimulationReport,
-    build_chain,
-    hit_probability_within,
-    mean_time_to_compromise,
-    realization_probability,
-    simulate,
-    stage_attack_probabilities,
-    stage_attack_probability,
-    stage_forward_probabilities,
-    validate_stochastic,
-)
 from .config import FORMULA_SOURCE, AnalysisConfig, ProbabilityLaw
 from .cvss import (
     DEFAULT_WEIGHT_TABLE,
@@ -76,6 +63,28 @@ from .report import (
     run_verification,
     stage_series,
 )
+from .stages import (
+    realization_probability,
+    stage_attack_probabilities,
+    stage_attack_probability,
+    stage_forward_probabilities,
+)
+
+# The chain names need numpy, so they load on first access (PEP 562):
+# a process that stops at W never imports it.
+_CHAIN_NAMES = frozenset({
+    "MarkovChain", "SimulationReport", "build_chain", "hit_probability_within",
+    "mean_time_to_compromise", "simulate", "validate_stochastic",
+})
+
+
+def __getattr__(name):
+    if name in _CHAIN_NAMES:
+        from . import chain
+
+        return getattr(chain, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

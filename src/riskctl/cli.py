@@ -2,7 +2,8 @@
 
 Subcommands: score | path | matrix | simulate | report | verify.
 Results go to standard out; diagnostics to standard error.  Exit codes:
-0 success, 1 input or usage error, 2 verification failure.
+0 success, 1 input or usage error, 2 verification failure.  Only the
+commands that build a chain (matrix, simulate, verify) import numpy.
 """
 
 from __future__ import annotations
@@ -14,16 +15,6 @@ import sys
 from dataclasses import astuple, fields, replace
 from pathlib import Path
 
-import numpy as np
-
-from .chain import (
-    build_chain,
-    hit_probability_within,
-    mean_time_to_compromise,
-    realization_probability,
-    simulate,
-    validate_stochastic,
-)
 from .config import FORMULA_SOURCE, AnalysisConfig
 from .cvss import score_breakdown
 from .errors import RiskctlError, UnreachableTargetError
@@ -38,6 +29,7 @@ from .model import (
     resolve_score,
 )
 from .report import StageSeriesRow, build_results_grid, run_verification, stage_series
+from .stages import realization_probability
 
 _ATTACKER_ORDER = (Attacker.AUTHORIZED, Attacker.UNAUTHORIZED)
 _ORIGIN_ORDER = (ReferenceDomain.CLOUD, ReferenceDomain.INFRA_EDGE, ReferenceDomain.VEHICLE)
@@ -214,6 +206,12 @@ def _cmd_path(args, model: ThreatModel, config: AnalysisConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_matrix(args, model: ThreatModel, config: AnalysisConfig) -> int:
+    if args.round is not None and args.round < 0:
+        raise ValueError(f"--round must be >= 0, got {args.round}")
+    import numpy as np
+
+    from .chain import build_chain, validate_stochastic
+
     path = _first_index(model.path(args.id), args)
     chain = build_chain(path, model, config)
     violations = validate_stochastic(chain)
@@ -258,6 +256,8 @@ def _z_score(simulated, analytic, se) -> float | None:
 
 
 def _cmd_simulate(args, model: ThreatModel, config: AnalysisConfig) -> int:
+    from .chain import build_chain, hit_probability_within, mean_time_to_compromise, simulate
+
     path = _first_index(model.path(args.id), args)
     chain = build_chain(path, model, config)
     report = simulate(chain, trials=args.trials, horizon=args.horizon,

@@ -136,6 +136,13 @@ class TestMatrix:
         assert code == 0
         assert "0.495" in out and "0.505" in out
 
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_negative_rounding_rejected(self, capsys, fmt):
+        code, out, err = run(capsys, "matrix", "--id", "1", "--round", "-1", "--format", fmt)
+        assert code == 1
+        assert out == ""
+        assert err == "riskctl: error: --round must be >= 0, got -1\n"
+
 
 class TestSimulate:
     ARGS = ("simulate", "--id", "1", "--trials", "2000", "--horizon", "100",
@@ -283,6 +290,24 @@ class TestVerify:
         assert code == 2
         assert any(l.startswith("FAIL") for l in out.splitlines())
         assert "expected" in out
+
+    def test_published_total_read_from_model(self, capsys, tmp_path):
+        doc = model_to_dict(builtin_paper_model())
+        doc["score_sets"]["paper-published"]["networking"] = 14.25
+        path = tmp_path / "published.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", "--model", str(path))
+        assert "diverges from published 14.25 (reported, not reconciled)" in out
+
+    def test_model_without_published_set(self, capsys, tmp_path):
+        doc = model_to_dict(builtin_paper_model())
+        doc["score_sets"]["renamed"] = doc["score_sets"].pop("paper-published")
+        doc["config"]["score_set"] = "renamed"
+        path = tmp_path / "renamed.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", "--model", str(path))
+        assert code == 0
+        assert out.splitlines()[0] == "PASS cvss-columns: all four columns reproduced"
 
     def test_missing_model_file(self, capsys):
         code, _, err = run(capsys, "verify", "--model", "/nonexistent/model.json")
