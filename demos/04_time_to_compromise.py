@@ -43,7 +43,7 @@ def main():
           f"(p50 {report.p50:.0f}, p90 {report.p90:.0f}, p99 {report.p99:.0f})")
     print()
 
-    print("Determinism: the same seed gives identical results for any worker count")
+    print("Determinism: the same seed gives identical results (workers has no effect)")
     for workers in (1, 2, 4):
         rerun = simulate(chain, trials=20_000, horizon=25, seed=7, workers=workers)
         print(f"  workers={workers}: hits={rerun.hits}, mean TTC={rerun.mean_ttc:.6f}")

@@ -13,19 +13,18 @@ First-passage analytics (expected steps, hitting probability within a
 horizon) pin S_m absorbing, and a seeded Monte Carlo simulator
 cross-checks them.
 
-The simulator cuts its trials into fixed blocks of ``_TRIAL_BLOCK``,
-each with its own counter-based Philox stream keyed by (seed, block),
-and draws only for walks still live.  A trial's draws therefore depend
-on the seed, its block and that block's history, never on the worker
-count.
+All walks are independent copies of one chain, so the simulator steps
+the number of live walks in each transient state instead of each walk:
+one multinomial draw per state per step, from one Philox stream keyed
+by the seed.  A run costs O(horizon * m), whatever the trial count.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
+from itertools import accumulate
 
 import numpy as np
 
@@ -33,13 +32,6 @@ from .config import AnalysisConfig
 from .errors import NumericalError, UnreachableTargetError
 from .model import AttackPath, ThreatModel
 from .stages import stage_attack_probabilities
-
-# Trials per random stream.  Block b of a run draws from its own Philox
-# stream keyed by (seed, b); the constant fixes which trials share a
-# stream, so it must not depend on the worker count.  Larger blocks
-# spread numpy's per-step call overhead over more walks: of 8192, 16384
-# and 32768, 32768 ran the `mc` benchmark workload fastest on 2 vCPUs.
-_TRIAL_BLOCK = 32768
 
 
 @dataclass(eq=False)
@@ -71,8 +63,8 @@ class SimulationReport:
     ``hit_fraction_se`` is the binomial standard error of
     ``hit_fraction``; ``mean_ttc_se`` is the standard error of
     ``mean_ttc`` (standard deviation of the hit times over sqrt(hits)),
-    None when no walk hit.  ``ttc_samples`` holds the hit times block
-    by block (see ``simulate``), ascending within each block.
+    None when no walk hit.  ``ttc_samples`` holds the hit times in
+    ascending order.
     """
 
     trials: int
@@ -155,14 +147,6 @@ def validate_stochastic(chain: MarkovChain, tol: float = 1e-12) -> list[str]:
 # First-passage analytics
 # ---------------------------------------------------------------------------
 
-def _absorbing(chain: MarkovChain) -> np.ndarray:
-    matrix = np.array(chain.matrix, dtype=float)
-    target = chain.target
-    matrix[target, :] = 0.0
-    matrix[target, target] = 1.0
-    return matrix
-
-
 def mean_time_to_compromise(chain: MarkovChain) -> float:
     """Expected steps from S_0 until first arrival at the target state.
 
@@ -190,58 +174,77 @@ def mean_time_to_compromise(chain: MarkovChain) -> float:
     return float(times[0])
 
 
+def _first_passage_cdf(chain: MarkovChain, horizon: int) -> np.ndarray:
+    """F(0..horizon): F(t) is the probability that a walk from S_0 first
+    reaches the target within t steps, with the target pinned absorbing."""
+    target = chain.target
+    matrix = np.array(chain.matrix, dtype=float)
+    matrix[target] = 0.0
+    matrix[target, target] = 1.0
+    dist = np.zeros(target + 1)
+    dist[0] = 1.0
+    cdf = np.zeros(horizon + 1)
+    for step in range(1, horizon + 1):
+        dist = dist @ matrix
+        cdf[step] = dist[target]
+    return cdf
+
+
 def hit_probability_within(chain: MarkovChain, horizon: int) -> float:
     """Probability that a walk from S_0 first reaches the target within
     ``horizon`` steps."""
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    matrix = _absorbing(chain)
-    dist = np.zeros(len(chain.states))
-    dist[0] = 1.0
-    for _ in range(horizon):
-        dist = dist @ matrix
     # Iterated products can drift a few ulp past the unit interval.
-    return min(max(float(dist[chain.target]), 0.0), 1.0)
+    return min(max(float(_first_passage_cdf(chain, horizon)[-1]), 0.0), 1.0)
+
+
+def _mean_ttc_within(chain: MarkovChain, horizon: int) -> float | None:
+    """E[T | T <= horizon], the mean first-passage time of the walks
+    that hit within ``horizon`` steps: what a simulation's ``mean_ttc``
+    estimates.  None when no walk can hit that early."""
+    cdf = _first_passage_cdf(chain, horizon)
+    if cdf[-1] <= 0.0:
+        return None
+    return float(np.arange(horizon + 1) @ np.diff(cdf, prepend=0.0) / cdf[-1])
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo simulation
 # ---------------------------------------------------------------------------
 
-def _walk_block(
-    back_p: np.ndarray,
-    fwd_threshold: np.ndarray,
-    horizon: int,
-    seed: int,
-    block: int,
-    size: int,
-) -> np.ndarray:
-    """Ascending hit times of the walks of a ``size``-trial block that hit.
+def _percentile(times: list[int], cumulative: list[int], q: int) -> float:
+    """``np.percentile(samples, q)`` (linear method) with numpy's own
+    float arithmetic, where the ascending samples hold ``times[i]``
+    up to rank ``cumulative[i]``."""
+    n = cumulative[-1]
+    virtual = (n - 1) * (q / 100)
+    lo = math.floor(virtual)
+    t = virtual - lo
+    a = times[bisect_right(cumulative, lo)]
+    b = times[bisect_right(cumulative, min(lo + 1, n - 1))]
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
-    The block's generator is keyed by (seed, block) and, at every step,
-    draws one uniform per live walk.  Walk state is kept compacted: a
-    walk that reaches the target leaves ``states`` and draws nothing
-    more, so only the number of arrivals per step is recorded.
+
+def _hit_time_stats(arrivals: np.ndarray) -> tuple[float, float, float, float, float]:
+    """(mean, standard error of the mean, p50, p90, p99) of the hit
+    times, ``arrivals[t]`` of them equal to t; at least one hit.
+
+    Exact integer sums make the mean exactly ``samples.mean()``; the
+    standard error is ``std / sqrt(hits)`` with the correctly rounded
+    standard deviation, within a few ulp of numpy's.
     """
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, block))))
-    target = fwd_threshold.size
-    arrivals = np.zeros(horizon + 1, dtype=np.int64)
-    states = np.zeros(size, dtype=np.intp)
-    for step in range(1, horizon + 1):
-        if not states.size:
-            break
-        uniforms = rng.random(states.size)
-        states = (
-            states
-            + (uniforms >= fwd_threshold[states])
-            - (uniforms < back_p[states])
-        )
-        live = states != target
-        arrived = states.size - np.count_nonzero(live)
-        if arrived:
-            arrivals[step] = arrived
-            states = states[live]
-    return np.repeat(np.arange(horizon + 1), arrivals)
+    times = np.flatnonzero(arrivals).tolist()
+    counts = arrivals[times].tolist()
+    hits = sum(counts)
+    total = sum(t * c for t, c in zip(times, counts))
+    squares = sum(t * t * c for t, c in zip(times, counts))
+    cumulative = list(accumulate(counts))
+    return (
+        total / hits,
+        math.sqrt((hits * squares - total * total) / hits**2) / math.sqrt(hits),
+        *(_percentile(times, cumulative, q) for q in (50, 90, 99)),
+    )
 
 
 def simulate(
@@ -253,14 +256,19 @@ def simulate(
 ) -> SimulationReport:
     """Run independent first-passage walks from S_0.
 
-    Trials are cut into consecutive blocks of ``_TRIAL_BLOCK``.  Block b
-    draws from one Philox stream keyed by (seed, b): at each step, one
-    uniform per walk of the block still live, in trial order.  So the
-    draws of trial t depend on the seed, its block and that block's
-    history, never on ``workers``, and a given seed produces
-    bit-identical reports for any ``workers`` setting.  Workers take
-    whole blocks; at most ``min(workers, blocks, os.cpu_count())``
-    threads run.
+    The run steps ``live[j]``, the number of walks in transient state
+    S_j, starting from ``live[0] = trials``.  At each step, one Philox
+    stream keyed by ``SeedSequence(seed)`` draws
+    ``multinomial(live[j], (fwd_j, back_j, stay_j))`` for j = 0 .. m-1
+    in that order, with the chain's forward, back and stay
+    probabilities (back_0 = 0); the stay count is the remainder.  The
+    moves shift to the neighbouring states, and the forward moves out
+    of S_{m-1} are the walks that hit at that step.  The run stops when
+    no walk is live or at the horizon.  Its cost grows with
+    horizon * m, not with ``trials``; the hit times come out ascending.
+
+    ``workers`` is accepted for compatibility and has no effect on the
+    results or the speed; no thread is started.
 
     Raises:
         ValueError: trials < 1, horizon < 1, negative seed, workers < 1.
@@ -276,32 +284,29 @@ def simulate(
 
     target = chain.target
     matrix = np.asarray(chain.matrix, dtype=float)
-    # Per-state back/forward thresholds for the transient states; the
-    # walk never sits on the target (first passage ends the trial).  A
-    # uniform below back_p steps back, one at or above fwd_threshold
-    # steps forward.
-    back_p = np.zeros(target)
-    back_p[1:] = np.diag(matrix, k=-1)[: target - 1]
-    fwd_threshold = 1.0 - np.diag(matrix, k=1)
+    back = np.append(0.0, np.diag(matrix, k=-1)[:-1])
+    # multinomial takes the last category as the remainder, so the stay
+    # count is what is left; the forward moves, which set the hit times,
+    # are drawn first with the stored forward probability itself.
+    rows = np.column_stack((np.diag(matrix, k=1), back, np.diag(matrix)[:target]))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    live = np.zeros(target, dtype=np.int64)
+    live[0] = trials
+    arrivals = np.zeros(horizon + 1, dtype=np.int64)
+    hits = 0
+    for step in range(1, horizon + 1):
+        moves = rng.multinomial(live, rows)
+        live = moves[:, 2]
+        live[:-1] += moves[1:, 1]
+        live[1:] += moves[:-1, 0]
+        arrivals[step] = moves[-1, 0]
+        hits += int(moves[-1, 0])
+        if hits == trials:
+            break
 
-    def run(block: int) -> np.ndarray:
-        size = min(_TRIAL_BLOCK, trials - block * _TRIAL_BLOCK)
-        return _walk_block(back_p, fwd_threshold, horizon, seed, block, size)
-
-    blocks = range(-(-trials // _TRIAL_BLOCK))
-    threads = min(workers, len(blocks), os.cpu_count() or 1)
-    if threads == 1:
-        parts = [run(block) for block in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, blocks))
-    samples = np.concatenate(parts)
-    hits = int(samples.size)
     hit_fraction = hits / trials
     if hits:
-        p50, p90, p99 = (float(v) for v in np.percentile(samples, [50, 90, 99]))
-        mean_ttc = float(samples.mean())
-        mean_ttc_se = float(samples.std()) / math.sqrt(hits)
+        mean_ttc, mean_ttc_se, p50, p90, p99 = _hit_time_stats(arrivals)
     else:
         mean_ttc = mean_ttc_se = p50 = p90 = p99 = None
     return SimulationReport(
@@ -311,7 +316,7 @@ def simulate(
         hits=hits,
         hit_fraction=hit_fraction,
         hit_fraction_se=math.sqrt(hit_fraction * (1.0 - hit_fraction) / trials),
-        ttc_samples=samples,
+        ttc_samples=np.repeat(np.arange(horizon + 1), arrivals),
         mean_ttc=mean_ttc,
         mean_ttc_se=mean_ttc_se,
         p50=p50,

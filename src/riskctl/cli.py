@@ -2,8 +2,9 @@
 
 Subcommands: score | path | matrix | simulate | report | verify.
 Results go to standard out; diagnostics to standard error.  Exit codes:
-0 success, 1 input or usage error, 2 verification failure.  Only the
-commands that build a chain (matrix, simulate, verify) import numpy.
+0 success, 1 input or usage error (or standard out closed early, which
+prints nothing), 2 verification failure.  Only the commands that build
+a chain (matrix, simulate, verify) import numpy.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import astuple, fields, replace
 from pathlib import Path
@@ -256,7 +258,13 @@ def _z_score(simulated, analytic, se) -> float | None:
 
 
 def _cmd_simulate(args, model: ThreatModel, config: AnalysisConfig) -> int:
-    from .chain import build_chain, hit_probability_within, mean_time_to_compromise, simulate
+    from .chain import (
+        _mean_ttc_within,
+        build_chain,
+        hit_probability_within,
+        mean_time_to_compromise,
+        simulate,
+    )
 
     path = _first_index(model.path(args.id), args)
     chain = build_chain(path, model, config)
@@ -271,8 +279,13 @@ def _cmd_simulate(args, model: ThreatModel, config: AnalysisConfig) -> int:
     payload = report.to_dict()
     payload["analytic_hit_probability"] = analytic_hit
     payload["analytic_mean_ttc"] = analytic_ttc
+    # The simulated mean covers only the walks that hit within the
+    # horizon, so it is compared with E[T | T <= horizon].
+    payload["analytic_mean_ttc_within"] = _mean_ttc_within(chain, args.horizon)
     payload["z_hit"] = _z_score(report.hit_fraction, analytic_hit, report.hit_fraction_se)
-    payload["z_ttc"] = _z_score(report.mean_ttc, analytic_ttc, report.mean_ttc_se)
+    payload["z_ttc"] = _z_score(
+        report.mean_ttc, payload["analytic_mean_ttc_within"], report.mean_ttc_se
+    )
     _emit(
         args,
         payload,
@@ -427,7 +440,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--horizon", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1,
-                   help="trial-axis parallelism; does not affect results")
+                   help="accepted for compatibility (>= 1); has no effect on results "
+                        "or speed, and no thread is started")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("report", parents=[common],
@@ -446,7 +460,15 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         model = _load_model(args)
-        return args.func(args, model, _effective_config(model, args))
+        code = args.func(args, model, _effective_config(model, args))
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of standard out has gone (`riskctl ... | head`).
+        # Send what is still buffered to devnull, so the flush at exit
+        # does not fail again (see the SIGPIPE note of the `signal` docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (RiskctlError, OSError, ValueError) as exc:
         print(f"riskctl: error: {exc}", file=sys.stderr)
         return 1

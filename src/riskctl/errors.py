@@ -35,7 +35,8 @@ class InvalidConfigError(RiskctlError, ValueError):
     """A configuration or model value is out of its allowed range.
 
     ``field`` names the rejected attribute (an ``AnalysisConfig`` field,
-    or a score set's domain code), or is None.  Document parsing turns
+    a score set's domain code, or ``score_sources`` for a model with
+    neither vectors nor score sets), or is None.  Document parsing turns
     it into the field path of a :class:`ValidationError`.
     """
 

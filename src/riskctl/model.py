@@ -183,7 +183,9 @@ class ThreatModel:
 
     def __post_init__(self):
         if not self.score_sets and not self.vectors:
-            raise ValueError("model needs at least one score source (vectors or a score set)")
+            raise InvalidConfigError(
+                "model needs at least one score source (vectors or score_sets)", "score_sources"
+            )
         d = self.config.defence_probability
         longest = max((len(p.stages) for p in self.paths), default=0)
         if isinstance(d, tuple) and len(d) < longest:
@@ -287,6 +289,7 @@ _CONFIG_PATHS = {
     "defence_probability": "defence.probability",
     "exponent_coefficient": "config.exponent_coefficient",
     "normalization": "config.normalization",
+    "score_sources": "$",
 }
 
 
@@ -421,7 +424,7 @@ _CONFIG_FIELDS = {
 
 
 def _parse_config(
-    raw: Any, defence: float | tuple[float, ...] | None, score_sets: dict, has_vectors: bool
+    raw: Any, defence: float | tuple[float, ...] | None, score_sets: dict
 ) -> AnalysisConfig:
     raw = _expect_object(raw, "config") if raw is not None else {}
     _check_keys(raw, "config", (), _CONFIG_FIELDS)
@@ -429,14 +432,6 @@ def _parse_config(
     if defence is not None:
         kwargs["defence_probability"] = defence
     kwargs.setdefault("score_set", next(iter(score_sets), FORMULA_SOURCE))
-
-    selected = kwargs["score_set"]
-    if selected == FORMULA_SOURCE:
-        if not has_vectors:
-            raise ValidationError("config.score_set", "formula scoring requires vectors")
-    elif selected not in score_sets:
-        raise ValidationError("config.score_set", f"unknown score set {selected!r}")
-
     return AnalysisConfig(**kwargs)
 
 
@@ -545,8 +540,6 @@ def parse_model(document: str) -> ThreatModel:
     table = _parse_weight_table(raw["weight_table"]) if "weight_table" in raw else DEFAULT_WEIGHT_TABLE
     score_sets = _parse_score_sets(raw["score_sets"]) if "score_sets" in raw else {}
     vectors = _parse_vectors(raw["vectors"], table) if "vectors" in raw else None
-    if not score_sets and not vectors:
-        raise ValidationError("$", "model needs at least one score source (vectors or score_sets)")
 
     defence: float | tuple[float, ...] | None = None
     if "defence" in raw:
@@ -576,16 +569,23 @@ def parse_model(document: str) -> ThreatModel:
     # The value objects check their own ranges; a rejected field gets its
     # document path here.
     try:
-        config = _parse_config(raw.get("config"), defence, score_sets, vectors is not None)
-        return ThreatModel(
+        model = ThreatModel(
             score_sets=score_sets,
             vectors=vectors,
             paths=tuple(paths),
-            config=config,
+            config=_parse_config(raw.get("config"), defence, score_sets),
             weight_table=table,
         )
     except InvalidConfigError as exc:
         raise ValidationError(_CONFIG_PATHS.get(exc.field, "config"), str(exc)) from None
+
+    selected = model.config.score_set
+    if selected == FORMULA_SOURCE:
+        if vectors is None:
+            raise ValidationError("config.score_set", "formula scoring requires vectors")
+    elif selected not in score_sets:
+        raise ValidationError("config.score_set", f"unknown score set {selected!r}")
+    return model
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import riskctl
 from riskctl import (
     builtin_paper_model,
     model_to_dict,
@@ -177,7 +182,14 @@ class TestSimulate:
             / payload["hit_fraction_se"]
         )
         assert abs(payload["z_hit"]) < 5
-        assert payload["z_ttc"] is not None
+        # At this horizon only ~84% of the walks hit, so the simulated mean
+        # estimates E[T | T <= 8], well below the unconditional mean.
+        assert payload["analytic_mean_ttc_within"] < payload["analytic_mean_ttc"]
+        assert payload["z_ttc"] == pytest.approx(
+            (payload["mean_ttc"] - payload["analytic_mean_ttc_within"])
+            / payload["mean_ttc_se"]
+        )
+        assert abs(payload["z_ttc"]) < 5
 
     def test_z_score_is_null_when_standard_error_is_zero(self, capsys):
         # Every walk hits within the horizon: the hit fraction has no spread.
@@ -341,6 +353,26 @@ class TestFormulaWithoutVector:
         assert err == (
             "riskctl: error: formula scoring requested but model has no vector for hardware\n"
         )
+
+
+class TestClosedStdout:
+    def test_broken_pipe_exits_quietly(self):
+        # Standard out is a pipe whose reader is already gone, as when
+        # `riskctl score --format json | head -1` stops reading.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ)
+        src = str(Path(riskctl.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "riskctl.cli", "score", "--format", "json"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert result.stderr == ""
+        assert result.returncode == 1
 
 
 class TestUsageErrors:

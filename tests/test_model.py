@@ -188,9 +188,16 @@ class TestParseModel:
         assert parsed.config.defence_probability == (0.1, 0.2)
 
     def test_missing_score_source(self):
-        doc = {"paths": MINIMAL_DOC["paths"]}
-        with pytest.raises(ValidationError, match="score source"):
-            parse_model(json.dumps(doc))
+        # Reported before the score-set selection, even when the config
+        # selects formula scoring.
+        for config in ({}, {"config": {"score_set": "formula"}}):
+            doc = {"paths": MINIMAL_DOC["paths"], **config}
+            with pytest.raises(ValidationError, match="score source") as info:
+                parse_model(json.dumps(doc))
+            assert info.value.path == "$"
+            assert info.value.reason == (
+                "model needs at least one score source (vectors or score_sets)"
+            )
 
     def test_empty_stage_list(self):
         doc = json.loads(json.dumps(MINIMAL_DOC))

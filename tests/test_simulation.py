@@ -1,15 +1,14 @@
 """Tests for the seeded Monte Carlo first-passage simulator."""
 
 import math
-import os
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-import riskctl.chain
 from riskctl import MarkovChain, build_chain, hit_probability_within, simulate
-from riskctl.chain import _TRIAL_BLOCK
+from riskctl.chain import _hit_time_stats
 
 
 def reports_equal(a, b):
@@ -39,79 +38,77 @@ class TestDeterminism:
         b = simulate(chain, trials=5000, horizon=200, seed=2)
         assert not np.array_equal(a.ttc_samples, b.ttc_samples)
 
-    def test_block_stream_does_not_depend_on_trial_count(self, model):
-        # The stream contract: block 0 draws from its own (seed, 0)
-        # stream, so its hit times (the leading samples of the report)
-        # are the same however many trials follow it.
-        chain = build_chain(model.path("1"), model)
-        block0 = simulate(chain, trials=_TRIAL_BLOCK, horizon=40, seed=42).ttc_samples
-        for trials in (_TRIAL_BLOCK + 1, 3 * _TRIAL_BLOCK + 5):
-            longer = simulate(chain, trials=trials, horizon=40, seed=42).ttc_samples
-            assert np.array_equal(longer[: block0.size], block0)
 
+def reference_hit_times(chain, trials, horizon, seed):
+    """Per-state reference of the documented stream contract.
 
-def reference_block(chain, seed, block, size, horizon):
-    """Scalar reference walk of one trial block: the documented contract.
-
-    The block's stream is Philox keyed by (seed, block); each step draws
-    one uniform per live walk, in trial order.  Returns the hit times,
-    ascending.
+    One Philox stream keyed by ``SeedSequence(seed)``; at each step, one
+    ``multinomial(n_j, (fwd_j, back_j, stay_j))`` call per transient
+    state j = 0 .. m-1, in that order.  The forward moves out of S_{m-1}
+    hit.  Returns the hit times, ascending.
     """
     rows = chain.matrix.tolist()
-    target = chain.target
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, block))))
-    states, hits = [0] * size, []
+    m = chain.target
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    live, hits = [trials] + [0] * (m - 1), []
     for step in range(1, horizon + 1):
-        if not states:
+        if not any(live):
             break
-        live = []
-        for state, u in zip(states, rng.random(len(states)).tolist()):
-            back = rows[state][state - 1] if state else 0.0
-            state += (u >= 1.0 - rows[state][state + 1]) - (u < back)
-            if state == target:
-                hits.append(step)
+        moved = [0] * m
+        for j, n in enumerate(live):
+            row = [rows[j][j + 1], rows[j][j - 1] if j else 0.0, rows[j][j]]
+            f, b, stay = rng.multinomial(int(n), row).tolist()
+            if j:
+                moved[j - 1] += b
+            moved[j] += stay
+            if j + 1 < m:
+                moved[j + 1] += f
             else:
-                live.append(state)
-        states = live
+                hits += [step] * f
+        live = moved
     return hits
 
 
-class TestBlockStream:
-    def test_matches_scalar_reference(self, model):
+class TestCountStream:
+    def test_matches_per_state_reference(self, model):
         chain = build_chain(model.path("2b"), model)
-        trials, horizon, seed = _TRIAL_BLOCK + 300, 30, 11
+        trials, horizon, seed = 30_000, 30, 11
         report = simulate(chain, trials=trials, horizon=horizon, seed=seed, workers=2)
-        expected = reference_block(chain, seed, 0, _TRIAL_BLOCK, horizon)
-        expected += reference_block(chain, seed, 1, 300, horizon)
-        assert report.ttc_samples.tolist() == expected
+        assert report.ttc_samples.tolist() == reference_hit_times(chain, trials, horizon, seed)
 
 
-class TestThreadCap:
-    def test_pool_never_exceeds_cpu_count(self, monkeypatch):
-        # A recording stand-in for the pool: runs serially, starts no thread.
-        requested = []
+class TestNoThreads:
+    def test_workers_start_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("simulate started a thread")
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(riskctl.chain, "ThreadPoolExecutor", SerialPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        # More blocks than cores; one-step walks keep every block cheap.
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        # One-step walks: every trial hits at step 1.
         chain = MarkovChain(states=("S0", "S1"), matrix=np.array([[0.0, 1.0], [0.0, 1.0]]))
-        trials = 4 * _TRIAL_BLOCK + 1
+        trials = 200_001
         report = simulate(chain, trials=trials, horizon=5, seed=0, workers=10_000)
         assert report.hits == trials
-        assert requested and all(n <= os.cpu_count() for n in requested)
+
+
+class TestCountStatistics:
+    def test_match_numpy_on_the_samples(self):
+        # Percentiles and mean bit for bit, the SE within 4 ulp (numpy
+        # sums the squared deviations in floating point).
+        rng = np.random.default_rng(2026)
+        for _ in range(400):
+            horizon = int(rng.integers(1, 300))
+            scale = float(rng.choice([3.0, 100.0, 5000.0]))
+            arrivals = rng.poisson(scale, size=horizon + 1)
+            arrivals *= rng.random(horizon + 1) < rng.uniform(0.02, 1.0)
+            arrivals[0] = 0
+            if not arrivals.any():
+                arrivals[int(rng.integers(1, horizon + 1))] = 1
+            samples = np.repeat(np.arange(horizon + 1), arrivals)
+            mean, se, *percentiles = _hit_time_stats(arrivals)
+            assert percentiles == [float(v) for v in np.percentile(samples, [50, 90, 99])]
+            assert mean == samples.mean()
+            reference = float(np.std(samples)) / math.sqrt(samples.size)
+            assert abs(se - reference) <= 4 * math.ulp(reference)
 
 
 class TestWalkSemantics:
