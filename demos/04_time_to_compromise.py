@@ -53,7 +53,7 @@ def main():
     config = replace(model.config, defence_probability=0.0)
     open_chain = build_chain(model.path("1"), model, config)
     closed_form = sum(1 / p for p in stage_forward_probabilities(model.path("1"), model, config))
-    print(f"  linear solve: {mean_time_to_compromise(open_chain):.9f}")
+    print(f"  recurrence:   {mean_time_to_compromise(open_chain):.9f}")
     print(f"  sum of 1/p_j: {closed_form:.9f}")
 
 

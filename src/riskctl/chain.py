@@ -9,6 +9,7 @@ birth-death Markov chain over the compromise states S_0 .. S_m:
                           forward a_{j+1}*(1 - d)
     row S_m:              back d,                stay 1 - d
 
+``MarkovChain`` refuses any entry off these three diagonals.
 First-passage analytics (expected steps, hitting probability within a
 horizon) pin S_m absorbing, and a seeded Monte Carlo simulator
 cross-checks them.
@@ -36,8 +37,12 @@ from .stages import stage_attack_probabilities
 
 @dataclass(eq=False)
 class MarkovChain:
-    """States S_0 .. S_m with a row-stochastic transition matrix.
+    """States S_0 .. S_m with a birth-death transition matrix.
 
+    Construction raises :class:`NumericalError` for a non-finite entry
+    or a non-zero one off the three central diagonals (back, stay,
+    forward); :func:`validate_stochastic` reports the other rules (a
+    shape matching ``states``, entries in [0, 1], rows summing to 1).
     ``stage_probs`` holds the raw (ungated) attack probabilities used
     during construction, one per stage.
     """
@@ -45,6 +50,18 @@ class MarkovChain:
     states: tuple[str, ...]
     matrix: np.ndarray
     stage_probs: tuple[float, ...] = ()
+
+    def __post_init__(self) -> None:
+        matrix = np.asarray(self.matrix, dtype=float)
+        if matrix.ndim != 2 or not np.isfinite(matrix).all():
+            raise NumericalError("transition matrix must be a 2-D array of finite entries")
+        far = np.argwhere(np.triu(matrix, 2) + np.tril(matrix, -2))
+        if far.size:
+            i, j = far[0].tolist()
+            raise NumericalError(
+                f"entry [{i}, {j}] = {float(matrix[i, j])!r} lies off the three central "
+                "diagonals: a chain moves at most one state per step"
+            )
 
     @property
     def target(self) -> int:
@@ -80,13 +97,9 @@ class SimulationReport:
     p90: float | None
     p99: float | None
 
-    def to_dict(self, include_samples: bool = False) -> dict:
-        """Every field in declaration order, ``ttc_samples`` (as a list,
-        last) only when asked for."""
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "ttc_samples"}
-        if include_samples:
-            out["ttc_samples"] = self.ttc_samples.tolist()
-        return out
+    def to_dict(self) -> dict:
+        """Every field but ``ttc_samples``, in declaration order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "ttc_samples"}
 
 
 # ---------------------------------------------------------------------------
@@ -150,28 +163,28 @@ def validate_stochastic(chain: MarkovChain, tol: float = 1e-12) -> list[str]:
 def mean_time_to_compromise(chain: MarkovChain) -> float:
     """Expected steps from S_0 until first arrival at the target state.
 
-    Solves t = 1 + Q t over the transient states of the target-absorbing
-    chain.  Finite whenever every forward probability is positive.
+    Sums E_j = (1 + back_j * E_{j-1}) / forward_j, the expected steps
+    from S_j to S_{j+1}, over the transient states: the birth-death
+    recurrence (Kemeny & Snell, *Finite Markov Chains*, 1960), O(m).
+    Finite whenever every forward probability is positive.
 
     Raises:
         UnreachableTargetError: some forward probability is zero.
-        NumericalError: the linear solve degenerates.
+        NumericalError: the sum overflows (a tiny forward probability).
     """
-    forward = chain.forward_probabilities()
-    if np.any(forward <= 0.0):
-        stuck = int(np.flatnonzero(forward <= 0.0)[0])
-        raise UnreachableTargetError(
-            f"forward probability out of state {chain.states[stuck]} is zero"
-        )
-    m = chain.target
-    q = np.asarray(chain.matrix, dtype=float)[:m, :m]
-    try:
-        times = np.linalg.solve(np.eye(m) - q, np.ones(m))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"hitting-time solve failed: {exc}") from None
-    if not np.all(np.isfinite(times)):
-        raise NumericalError("hitting-time solve produced non-finite values")
-    return float(times[0])
+    forward = chain.forward_probabilities().tolist()
+    back = [0.0] + np.diag(chain.matrix, k=-1).tolist()
+    e = total = 0.0
+    for j, f in enumerate(forward):
+        if f <= 0.0:
+            raise UnreachableTargetError(
+                f"forward probability out of state {chain.states[j]} is zero"
+            )
+        e = (1.0 + back[j] * e) / f
+        total += e
+    if not math.isfinite(total):
+        raise NumericalError(f"mean time to compromise overflows: {total!r}")
+    return total
 
 
 def _first_passage_cdf(chain: MarkovChain, horizon: int) -> np.ndarray:
@@ -190,23 +203,24 @@ def _first_passage_cdf(chain: MarkovChain, horizon: int) -> np.ndarray:
     return cdf
 
 
+def _hit_within(chain: MarkovChain, horizon: int) -> tuple[float, float | None]:
+    """(P(T <= horizon), E[T | T <= horizon]) from one first-passage
+    pass, T the first-passage time from S_0.  The second is what a
+    simulation's ``mean_ttc`` estimates; None when P is 0."""
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    cdf = _first_passage_cdf(chain, horizon)
+    # Iterated products can drift a few ulp past the unit interval.
+    hit = min(max(float(cdf[-1]), 0.0), 1.0)
+    if cdf[-1] <= 0.0:
+        return hit, None
+    return hit, float(np.arange(horizon + 1) @ np.diff(cdf, prepend=0.0) / cdf[-1])
+
+
 def hit_probability_within(chain: MarkovChain, horizon: int) -> float:
     """Probability that a walk from S_0 first reaches the target within
     ``horizon`` steps."""
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
-    # Iterated products can drift a few ulp past the unit interval.
-    return min(max(float(_first_passage_cdf(chain, horizon)[-1]), 0.0), 1.0)
-
-
-def _mean_ttc_within(chain: MarkovChain, horizon: int) -> float | None:
-    """E[T | T <= horizon], the mean first-passage time of the walks
-    that hit within ``horizon`` steps: what a simulation's ``mean_ttc``
-    estimates.  None when no walk can hit that early."""
-    cdf = _first_passage_cdf(chain, horizon)
-    if cdf[-1] <= 0.0:
-        return None
-    return float(np.arange(horizon + 1) @ np.diff(cdf, prepend=0.0) / cdf[-1])
+    return _hit_within(chain, horizon)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +285,11 @@ def simulate(
     results or the speed; no thread is started.
 
     Raises:
-        ValueError: trials < 1, horizon < 1, negative seed, workers < 1.
+        ValueError: trials < 1 or > 2**63 - 1 (the walk counts are
+            int64), horizon < 1, negative seed, workers < 1.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 1 <= trials < 2**63:
+        raise ValueError(f"trials must be in [1, 2**63 - 1], got {trials}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if seed < 0:

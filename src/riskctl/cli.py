@@ -258,19 +258,13 @@ def _z_score(simulated, analytic, se) -> float | None:
 
 
 def _cmd_simulate(args, model: ThreatModel, config: AnalysisConfig) -> int:
-    from .chain import (
-        _mean_ttc_within,
-        build_chain,
-        hit_probability_within,
-        mean_time_to_compromise,
-        simulate,
-    )
+    from .chain import _hit_within, build_chain, mean_time_to_compromise, simulate
 
     path = _first_index(model.path(args.id), args)
     chain = build_chain(path, model, config)
     report = simulate(chain, trials=args.trials, horizon=args.horizon,
                       seed=args.seed, workers=args.workers)
-    analytic_hit = hit_probability_within(chain, args.horizon)
+    analytic_hit, analytic_ttc_within = _hit_within(chain, args.horizon)
     try:
         analytic_ttc = mean_time_to_compromise(chain)
     except UnreachableTargetError:
@@ -281,11 +275,9 @@ def _cmd_simulate(args, model: ThreatModel, config: AnalysisConfig) -> int:
     payload["analytic_mean_ttc"] = analytic_ttc
     # The simulated mean covers only the walks that hit within the
     # horizon, so it is compared with E[T | T <= horizon].
-    payload["analytic_mean_ttc_within"] = _mean_ttc_within(chain, args.horizon)
+    payload["analytic_mean_ttc_within"] = analytic_ttc_within
     payload["z_hit"] = _z_score(report.hit_fraction, analytic_hit, report.hit_fraction_se)
-    payload["z_ttc"] = _z_score(
-        report.mean_ttc, payload["analytic_mean_ttc_within"], report.mean_ttc_se
-    )
+    payload["z_ttc"] = _z_score(report.mean_ttc, analytic_ttc_within, report.mean_ttc_se)
     _emit(
         args,
         payload,
@@ -469,7 +461,7 @@ def main(argv: list[str] | None = None) -> int:
         # does not fail again (see the SIGPIPE note of the `signal` docs).
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (RiskctlError, OSError, ValueError) as exc:
+    except (RiskctlError, OSError, ValueError, MemoryError) as exc:
         print(f"riskctl: error: {exc}", file=sys.stderr)
         return 1
 

@@ -145,16 +145,6 @@ class ScoreBreakdown:
     temporal: float
     environmental: float
     total: float
-    rounding: Rounding
-
-    def to_dict(self) -> dict[str, float | str]:
-        return {
-            "base": self.base,
-            "temporal": self.temporal,
-            "environmental": self.environmental,
-            "total": self.total,
-            "rounding": self.rounding.value,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +250,7 @@ def score_breakdown(
     e = environmental_score(vector, t, table)
     if rounding is Rounding.PAPER:
         b, t, e = round_half_up(b), round_half_up(t), round_half_up(e)
-    return ScoreBreakdown(
-        base=b, temporal=t, environmental=e, total=b + t + e, rounding=rounding
-    )
+    return ScoreBreakdown(base=b, temporal=t, environmental=e, total=b + t + e)
 
 
 def max_total_score(table: WeightTable = DEFAULT_WEIGHT_TABLE) -> float:

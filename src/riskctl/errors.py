@@ -50,7 +50,7 @@ class UnreachableTargetError(RiskctlError):
 
 
 class NumericalError(RiskctlError):
-    """A numerical routine degenerated (singular system, invalid matrix)."""
+    """A matrix that is not finite or not birth-death, or an overflow."""
 
 
 class DocumentError(RiskctlError):

@@ -261,6 +261,33 @@ class TestBuildChain:
             build_chain(path, model)
 
 
+class TestBirthDeathRule:
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # Row-stochastic, but S_0 jumps to S_2: a walk may move at
+            # most one state per step.
+            ([[0.5, 0.25, 0.25], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]],
+             r"entry \[0, 2\] = 0.25 lies off"),
+            ([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [1.0, 0.0, 0.0]],
+             r"entry \[2, 0\] = 1.0 lies off"),
+            ([[0.5, 0.5, 0.0], [0.0, np.inf, 0.5], [0.0, 0.0, 1.0]], "finite"),
+            ([[0.5, 0.5, np.nan], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]], "finite"),
+        ],
+    )
+    def test_rejected_at_construction(self, rows, message):
+        with pytest.raises(NumericalError, match=message):
+            MarkovChain(states=("S0", "S1", "S2"), matrix=np.array(rows))
+
+    def test_copy_of_a_built_chain_is_accepted(self, model):
+        chain = build_chain(model.path("1"), model)
+        copy = replace(chain, matrix=chain.matrix.copy())
+        copy.matrix[1, 1] += 0.25
+        assert validate_stochastic(copy) == [
+            f"row 1 (S1:C-Net) sums to {float(copy.matrix[1].sum())!r}, not 1",
+        ]
+
+
 class TestValidateStochastic:
     def test_constructed_chains_pass(self, model):
         for path in model.paths:
@@ -327,11 +354,24 @@ class TestMeanTimeToCompromise:
             mean_time_to_compromise(chain)
 
     def test_degenerate_solve(self):
-        chain = MarkovChain(
-            states=("S0", "S1"),
-            matrix=np.array([[np.nan, 0.5], [0.0, 1.0]]),
-        )
         with pytest.raises(NumericalError):
+            chain = MarkovChain(
+                states=("S0", "S1"),
+                matrix=np.array([[np.nan, 0.5], [0.0, 1.0]]),
+            )
+            mean_time_to_compromise(chain)
+
+    def test_overflow(self):
+        # Each step forward is 1e-200 likely: E_1 = (1 + 0.5e200) / 1e-200
+        # is past the largest float.
+        tiny = 1e-200
+        chain = MarkovChain(
+            states=("S0", "S1", "S2"),
+            matrix=np.array(
+                [[1.0 - tiny, tiny, 0.0], [0.5, 0.5 - tiny, tiny], [0.0, 0.0, 1.0]]
+            ),
+        )
+        with pytest.raises(NumericalError, match="overflows"):
             mean_time_to_compromise(chain)
 
 

@@ -215,6 +215,22 @@ class TestSimulate:
         assert code == 1
         assert "trials" in err
 
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["--trials", "100000000000000000000"], "trials must be"),
+            # The two allocations below ask for more than 100 TiB, so each
+            # fails at once without touching memory.
+            (["--trials", "1000000000000000"], "Unable to allocate"),
+            (["--horizon", "100000000000000"], "Unable to allocate"),
+        ],
+    )
+    def test_oversized_run_is_one_error_line(self, capsys, argv, reason):
+        code, out, err = run(capsys, "simulate", "--id", "1", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"riskctl: error: {reason}")
+        assert err.count("\n") == 1
+
 
 class TestReport:
     def test_grid_values(self, capsys):

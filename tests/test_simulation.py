@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from riskctl import MarkovChain, build_chain, hit_probability_within, simulate
-from riskctl.chain import _hit_time_stats
+from riskctl.chain import _first_passage_cdf, _hit_time_stats
 
 
 def reports_equal(a, b):
@@ -177,7 +177,7 @@ class TestAgainstAnalytics:
         chain = build_chain(model.path("1"), model)
         horizon, trials = 60, 400_000
         report = simulate(chain, trials=trials, horizon=horizon, seed=31337)
-        cdf = np.array([hit_probability_within(chain, h) for h in range(horizon + 1)])
+        cdf = _first_passage_cdf(chain, horizon)
         expected = trials * np.append(np.diff(cdf), 1.0 - cdf[-1])
         observed = np.append(
             np.bincount(report.ttc_samples, minlength=horizon + 1)[1:],
@@ -221,6 +221,7 @@ class TestArgumentValidation:
         "kwargs",
         [
             {"trials": 0},
+            {"trials": 2**63},
             {"horizon": 0},
             {"seed": -1},
             {"workers": 0},
@@ -230,5 +231,5 @@ class TestArgumentValidation:
         chain = build_chain(model.path("5"), model)
         defaults = {"trials": 10, "horizon": 10, "seed": 0, "workers": 1}
         defaults.update(kwargs)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             simulate(chain, **defaults)
