@@ -71,7 +71,7 @@ from .stages import (
 )
 
 # The chain names need numpy, so they load on first access (PEP 562):
-# a process that stops at W never imports it.
+# a process that uses none of them never imports it.
 _CHAIN_NAMES = frozenset({
     "MarkovChain", "SimulationReport", "build_chain", "hit_probability_within",
     "mean_time_to_compromise", "simulate", "validate_stochastic",

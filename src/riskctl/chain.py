@@ -1,15 +1,8 @@
 """Attack-propagation analytics: Markov chains and TTC.
 
-A path's stage attack probabilities (``stages.py``) drive a
-birth-death Markov chain over the compromise states S_0 .. S_m:
-
-    row S_0:              stay 1 - a_1,          forward a_1
-    row S_j (1 <= j < m): back d*(1 - a_{j+1}),
-                          stay a_{j+1}*d + (1 - a_{j+1})*(1 - d),
-                          forward a_{j+1}*(1 - d)
-    row S_m:              back d,                stay 1 - d
-
-``MarkovChain`` refuses any entry off these three diagonals.
+``MarkovChain`` holds a path's birth-death chain over the compromise
+states S_0 .. S_m as a dense matrix, built from the row formulas in
+``stages.py`` and refusing any entry off their three diagonals.
 First-passage analytics (expected steps, hitting probability within a
 horizon) pin S_m absorbing, and a seeded Monte Carlo simulator
 cross-checks them.
@@ -32,7 +25,7 @@ import numpy as np
 from .config import AnalysisConfig
 from .errors import NumericalError, UnreachableTargetError
 from .model import AttackPath, ThreatModel
-from .stages import stage_attack_probabilities
+from .stages import _chain_rows, _stochastic_violations
 
 
 @dataclass(eq=False)
@@ -109,51 +102,19 @@ class SimulationReport:
 def build_chain(
     path: AttackPath, model: ThreatModel, config: AnalysisConfig | None = None
 ) -> MarkovChain:
-    """Build the birth-death transition chain for a path.
-
-    State S_0 is the uncompromised start; S_j means stage j succeeded;
-    S_m is the target.  The matrix follows the row formulas in the
-    module docstring, with a_j the raw attack probability of the stage
-    leaving S_{j-1}.
-    """
-    config = config if config is not None else model.config
-    a = stage_attack_probabilities(path, model, config)
-    m = len(a)
-    matrix = np.zeros((m + 1, m + 1))
-    matrix[0, 0] = 1.0 - a[0]
-    matrix[0, 1] = a[0]
-    for row in range(1, m):
-        attack = a[row]
-        d = config.defence_at(row + 1)
-        matrix[row, row - 1] = d * (1.0 - attack)
-        matrix[row, row] = attack * d + (1.0 - attack) * (1.0 - d)
-        matrix[row, row + 1] = attack * (1.0 - d)
-    d_final = config.defence_at(m)
-    matrix[m, m - 1] = d_final
-    matrix[m, m] = 1.0 - d_final
-    states = ("S0",) + tuple(
-        f"S{j}:{stage.code}" for j, stage in enumerate(path.stages, start=1)
-    )
-    return MarkovChain(states=states, matrix=matrix, stage_probs=tuple(a))
+    """Build the birth-death transition chain for a path, with the rows
+    of ``stages.py``: S_0 is the uncompromised start, S_j means stage j
+    succeeded, and S_m is the target."""
+    states, rows, a = _chain_rows(path, model, config)
+    return MarkovChain(states=states, matrix=np.array(rows), stage_probs=tuple(a))
 
 
 def validate_stochastic(chain: MarkovChain, tol: float = 1e-12) -> list[str]:
     """Return violations of row-stochasticity; empty means valid."""
-    violations: list[str] = []
-    matrix = np.asarray(chain.matrix, dtype=float)
-    n = len(chain.states)
+    matrix, n = np.asarray(chain.matrix, dtype=float), len(chain.states)
     if matrix.shape != (n, n):
-        violations.append(f"matrix shape {matrix.shape} does not match {n} states")
-        return violations
-    for i in range(n):
-        row_sum = float(matrix[i].sum())
-        if abs(row_sum - 1.0) > tol:
-            violations.append(f"row {i} ({chain.states[i]}) sums to {row_sum!r}, not 1")
-        for j in range(n):
-            value = float(matrix[i, j])
-            if not 0.0 <= value <= 1.0:
-                violations.append(f"entry [{i}, {j}] = {value!r} out of [0, 1]")
-    return violations
+        return [f"matrix shape {matrix.shape} does not match {n} states"]
+    return _stochastic_violations(chain.states, matrix.tolist(), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +153,14 @@ def _first_passage_cdf(chain: MarkovChain, horizon: int) -> np.ndarray:
     reaches the target within t steps, with the target pinned absorbing."""
     target = chain.target
     matrix = np.array(chain.matrix, dtype=float)
-    matrix[target] = 0.0
-    matrix[target, target] = 1.0
-    dist = np.zeros(target + 1)
-    dist[0] = 1.0
+    matrix[target] = np.eye(target + 1)[target]
+    dist = np.eye(target + 1)[0]
     cdf = np.zeros(horizon + 1)
     for step in range(1, horizon + 1):
-        dist = dist @ matrix
+        dist, last = dist @ matrix, dist
+        if dist.tobytes() == last.tobytes():  # a fixed point: no later step moves
+            cdf[step:] = dist[target]
+            break
         cdf[step] = dist[target]
     return cdf
 
@@ -287,6 +249,7 @@ def simulate(
     Raises:
         ValueError: trials < 1 or > 2**63 - 1 (the walk counts are
             int64), horizon < 1, negative seed, workers < 1.
+        MemoryError: the hit-time samples do not fit in memory.
     """
     if not 1 <= trials < 2**63:
         raise ValueError(f"trials must be in [1, 2**63 - 1], got {trials}")
@@ -319,6 +282,12 @@ def simulate(
         if hits == trials:
             break
 
+    try:
+        samples = np.repeat(np.arange(horizon + 1), arrivals)
+    except (ValueError, MemoryError) as exc:
+        raise MemoryError(
+            f"Unable to allocate the {hits} hit-time samples of trials={trials}"
+        ) from exc
     hit_fraction = hits / trials
     if hits:
         mean_ttc, mean_ttc_se, p50, p90, p99 = _hit_time_stats(arrivals)
@@ -331,7 +300,7 @@ def simulate(
         hits=hits,
         hit_fraction=hit_fraction,
         hit_fraction_se=math.sqrt(hit_fraction * (1.0 - hit_fraction) / trials),
-        ttc_samples=np.repeat(np.arange(horizon + 1), arrivals),
+        ttc_samples=samples,
         mean_ttc=mean_ttc,
         mean_ttc_se=mean_ttc_se,
         p50=p50,

@@ -3,8 +3,8 @@
 Subcommands: score | path | matrix | simulate | report | verify.
 Results go to standard out; diagnostics to standard error.  Exit codes:
 0 success, 1 input or usage error (or standard out closed early, which
-prints nothing), 2 verification failure.  Only the commands that build
-a chain (matrix, simulate, verify) import numpy.
+prints nothing), 2 verification failure.  Only ``simulate`` imports
+numpy; ``matrix`` and ``verify`` read the chain's rows as plain floats.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import astuple, fields, replace
@@ -31,7 +32,7 @@ from .model import (
     resolve_score,
 )
 from .report import StageSeriesRow, build_results_grid, run_verification, stage_series
-from .stages import realization_probability
+from .stages import _chain_rows, _stochastic_violations, realization_probability
 
 _ATTACKER_ORDER = (Attacker.AUTHORIZED, Attacker.UNAUTHORIZED)
 _ORIGIN_ORDER = (ReferenceDomain.CLOUD, ReferenceDomain.INFRA_EDGE, ReferenceDomain.VEHICLE)
@@ -210,34 +211,25 @@ def _cmd_path(args, model: ThreatModel, config: AnalysisConfig) -> int:
 def _cmd_matrix(args, model: ThreatModel, config: AnalysisConfig) -> int:
     if args.round is not None and args.round < 0:
         raise ValueError(f"--round must be >= 0, got {args.round}")
-    import numpy as np
-
-    from .chain import build_chain, validate_stochastic
-
     path = _first_index(model.path(args.id), args)
-    chain = build_chain(path, model, config)
-    violations = validate_stochastic(chain)
+    states, matrix, stage_probs = _chain_rows(path, model, config)
+    violations = _stochastic_violations(states, matrix)
     if violations:
         print(f"riskctl: error: constructed matrix is not stochastic: {violations}",
               file=sys.stderr)
         return 1
-    product = float(np.prod(chain.forward_probabilities()))
-    header = ["state"] + list(chain.states)
-    rows = [[state] + list(row) for state, row in zip(chain.states, chain.matrix)]
+    product = math.prod(row[j + 1] for j, row in enumerate(matrix[:-1]))
+    header = ["state"] + list(states)
+    rows = [[state] + row for state, row in zip(states, matrix)]
     digits = args.round
     _emit(
         args,
-        {
-            "path_id": path.id,
-            "states": list(chain.states),
-            "matrix": chain.matrix.tolist(),
-            "stage_probs": list(chain.stage_probs),
-            "forward_path_product": product,
-        },
+        {"path_id": path.id, "states": list(states), "matrix": matrix,
+         "stage_probs": stage_probs, "forward_path_product": product},
         header,
         rows,
         cell=lambda v: v if isinstance(v, str)
-        else f"{v:.{digits}f}" if digits is not None else repr(float(v)),
+        else f"{v:.{digits}f}" if digits is not None else repr(v),
         trailer=[
             f"forward path product (no detours): {product:.6f} ({100.0 * product:.2f}%)"
         ],

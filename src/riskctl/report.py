@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .config import AnalysisConfig
@@ -9,6 +10,7 @@ from .cvss import Rounding, max_total_score, score_breakdown
 from .errors import RiskctlError
 from .model import Attacker, AttackPath, ReferenceDomain, ThreatModel, ViewDomain
 from .stages import (
+    _chain_rows,
     realization_probability,
     stage_attack_probabilities,
     stage_forward_probabilities,
@@ -195,28 +197,24 @@ def _check_results_grid(model: ThreatModel) -> CheckResult:
 
 
 def _check_legacy_matrix(model: ThreatModel) -> CheckResult:
-    # The one check that builds a chain loads numpy itself.
-    import numpy as np
-
-    from .chain import build_chain
-
     name = "legacy-matrix"
     try:
         path = replace(model.path("3"), first_stage_index=2)
         config = replace(model.config, exponent_coefficient=1.0, score_set="legacy")
-        chain = build_chain(path, model, config)
+        _, matrix, _ = _chain_rows(path, model, config)
     except RiskctlError as exc:
         return CheckResult(name, False, str(exc))
-    expected = np.array(_EXPECTED_LEGACY_MATRIX)
-    if chain.matrix.shape != expected.shape:
-        return CheckResult(name, False, f"matrix shape {chain.matrix.shape}, expected 4x4")
-    diff = np.abs(chain.matrix - expected).max()
-    product = float(np.prod(chain.forward_probabilities()))
+    n = len(matrix)
+    if n != len(_EXPECTED_LEGACY_MATRIX):
+        return CheckResult(name, False, f"matrix shape {(n, n)}, expected 4x4")
+    diff = max(abs(value - expected) for row, expected_row in zip(matrix, _EXPECTED_LEGACY_MATRIX)
+               for value, expected in zip(row, expected_row))
+    product = math.prod(row[j + 1] for j, row in enumerate(matrix[:-1]))
     detail = (
         f"max entry deviation {diff:.4f}; no-detour product {product:.4f} "
         f"(published rounded-entry value {_LEGACY_PUBLISHED_PRODUCT})"
     )
-    return CheckResult(name, bool(diff <= 0.01), detail)
+    return CheckResult(name, diff <= 0.01, detail)
 
 
 def _check_normalization(model: ThreatModel) -> CheckResult:

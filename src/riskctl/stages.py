@@ -1,9 +1,17 @@
-"""Stage attack probabilities and the no-detour realization probability W.
+"""Stage attack probabilities, W and the rows of a path's chain.
 
-A path's per-domain scores become stage attack probabilities (growing
-with the stage index under the exponential law); defence gating turns
-them into forward probabilities, whose product is W.  Nothing here
-needs numpy, so commands that stop at W load none.
+Per-domain scores become stage attack probabilities a_j (growing with
+the stage index under the exponential law); defence gating turns them
+into forward probabilities, whose product is W.  The a_j also give the
+birth-death chain over the compromise states S_0 .. S_m (Kemeny &
+Snell, *Finite Markov Chains*, 1960).  Row S_j is
+
+    back d*(1 - a),  stay a*d + (1 - a)*(1 - d),  forward a*(1 - d)
+
+with a = a_{j+1} (0 in row S_m, which has no forward edge) and d the
+defence at stage position j + 1 (0 in row S_0, which has no back edge;
+that of position m in row S_m).  Nothing here needs numpy, so only
+``simulate`` loads it.
 """
 
 from __future__ import annotations
@@ -94,3 +102,34 @@ def realization_probability(
     """No-detour attack realization probability W: the product of the
     forward stage probabilities."""
     return math.prod(stage_forward_probabilities(path, model, config))
+
+
+def _chain_rows(
+    path: AttackPath, model: ThreatModel, config: AnalysisConfig | None = None
+) -> tuple[tuple[str, ...], list[list[float]], list[float]]:
+    """(state names, dense rows, raw stage attack probabilities) of the
+    path's chain, with the rows of the module docstring."""
+    config = config if config is not None else model.config
+    a = stage_attack_probabilities(path, model, config)
+    m = len(a)
+    rows = []
+    for j in range(m + 1):
+        attack = a[j] if j < m else 0.0
+        d = config.defence_at(min(j + 1, m)) if j else 0.0
+        edges = [d * (1.0 - attack), attack * d + (1.0 - attack) * (1.0 - d), attack * (1.0 - d)]
+        # Padded by one column on each side: S_0's back and S_m's forward.
+        rows.append(([0.0] * j + edges + [0.0] * (m - j))[1:-1])
+    states = ("S0",) + tuple(f"S{j}:{stage.code}" for j, stage in enumerate(path.stages, 1))
+    return states, rows, a
+
+
+def _stochastic_violations(states: tuple, rows: list, tol: float = 1e-12) -> list[str]:
+    """Rows not summing to 1 within ``tol`` and entries outside [0, 1]
+    (NaN among them); empty means valid."""
+    violations = []
+    for i, row in enumerate(rows):
+        if abs(sum(row) - 1.0) > tol:
+            violations.append(f"row {i} ({states[i]}) sums to {sum(row)!r}, not 1")
+        violations += [f"entry [{i}, {j}] = {v!r} out of [0, 1]"
+                       for j, v in enumerate(row) if not 0.0 <= v <= 1.0]
+    return violations

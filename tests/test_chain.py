@@ -26,6 +26,7 @@ from riskctl import (
     stage_forward_probabilities,
     validate_stochastic,
 )
+from riskctl.chain import _first_passage_cdf
 from riskctl.errors import (
     EmptyPathError,
     InvalidConfigError,
@@ -400,3 +401,22 @@ class TestHitProbabilityWithin:
         chain = build_chain(model.path("1"), model)
         with pytest.raises(ValueError):
             hit_probability_within(chain, -1)
+
+    @pytest.mark.parametrize("d", [0.0, 0.1, 0.3, 0.5])
+    def test_early_stop_matches_every_step(self, model, d):
+        # The reference takes all h steps; h = 6000 lies past the fixed
+        # point of every built-in path, where the loop stops early.
+        horizon = 6000
+        config = replace(model.config, defence_probability=d)
+        for path in model.paths:
+            chain = build_chain(path, model, config)
+            matrix = chain.matrix.copy()
+            matrix[-1] = 0.0
+            matrix[-1, -1] = 1.0
+            dist = np.eye(len(matrix))[0]
+            reference = np.zeros(horizon + 1)
+            for step in range(1, horizon + 1):
+                dist = dist @ matrix
+                reference[step] = dist[-1]
+            assert np.array_equal(dist @ matrix, dist)
+            assert np.array_equal(_first_passage_cdf(chain, horizon), reference)

@@ -231,6 +231,14 @@ class TestSimulate:
         assert err.startswith(f"riskctl: error: {reason}")
         assert err.count("\n") == 1
 
+    def test_samples_past_the_address_space_name_trials(self, capsys):
+        # numpy refuses 2**63 - 1 int64 samples before allocating anything.
+        code, out, err = run(capsys, "simulate", "--id", "1", "--trials", str(2**63 - 1))
+        assert code == 1 and out == ""
+        assert err.startswith("riskctl: error: Unable to allocate ")
+        assert f"hit-time samples of trials={2**63 - 1}\n" in err
+        assert err.count("\n") == 1
+
 
 class TestReport:
     def test_grid_values(self, capsys):

@@ -1,7 +1,13 @@
 """Property tests over generated inputs (hypothesis, derandomized)."""
 
+import io
+import json
 import math
+import tempfile
+from contextlib import redirect_stdout
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,25 +15,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskctl import (
+    Attacker,
+    AttackPath,
+    AttackStage,
     MarkovChain,
+    ReferenceDomain,
+    ScoreSet,
+    ThreatModel,
     UnreachableTargetError,
+    ViewDomain,
+    build_chain,
+    builtin_paper_model,
     hit_probability_within,
     mean_time_to_compromise,
+    serialize_model,
     simulate,
+    stage_attack_probabilities,
 )
 from riskctl.chain import _first_passage_cdf
+from riskctl.cli import main
+from riskctl.stages import _chain_rows
 
 
 def birth_death_chain(attack, d):
-    """The chain of the row formulas in ``riskctl.chain`` for stage
-    attack probabilities ``attack`` and defence probability ``d``."""
+    """The chain for stage attack probabilities ``attack`` and defence
+    ``d``, a constant or one per stage position, with the first row,
+    the middle rows and the last row written out as three cases."""
     m = len(attack)
+    d = d if isinstance(d, tuple) else (d,) * m
     matrix = np.zeros((m + 1, m + 1))
     matrix[0, :2] = 1.0 - attack[0], attack[0]
     for j in range(1, m):
-        a = attack[j]
-        matrix[j, j - 1 : j + 2] = d * (1.0 - a), a * d + (1.0 - a) * (1.0 - d), a * (1.0 - d)
-    matrix[m, m - 1 :] = d, 1.0 - d
+        a, dj = attack[j], d[j]
+        matrix[j, j - 1 : j + 2] = dj * (1.0 - a), a * dj + (1.0 - a) * (1.0 - dj), a * (1.0 - dj)
+    matrix[m, m - 1 :] = d[m - 1], 1.0 - d[m - 1]
     return MarkovChain(states=tuple(f"S{j}" for j in range(m + 1)), matrix=matrix)
 
 
@@ -103,3 +124,55 @@ class TestGeneratedChains:
         assert cdf[0] == 0.0 and np.all(np.diff(cdf) >= 0.0)
         assert cdf[-1] <= 1.0 + 1e-12
         assert 0.0 <= hit_probability_within(chain, horizon) == min(cdf[-1], 1.0) <= 1.0
+
+
+@st.composite
+def generated_models(draw):
+    """The built-in model's score sources plus a generated score set,
+    with one path of up to 64 stages, a drawn first stage index, d
+    constant or per stage, and a drawn score source."""
+    m = draw(st.integers(1, 64))
+    stages = tuple(
+        AttackStage(draw(st.sampled_from(ReferenceDomain)), draw(st.sampled_from(ViewDomain)),
+                    "generated stage")
+        for _ in range(m)
+    )
+    path = AttackPath(id="g", attacker=Attacker.UNAUTHORIZED, origin=ReferenceDomain.CLOUD,
+                      stages=stages, first_stage_index=draw(st.integers(1, 10)))
+    unit = st.floats(0.0, 1.0)
+    d = draw(st.one_of(unit, st.lists(unit, min_size=m, max_size=m).map(tuple)))
+    builtin = builtin_paper_model()
+    generated = ScoreSet("generated", {dom: draw(st.floats(0.0, 42.5)) for dom in ViewDomain})
+    source = draw(st.sampled_from(["formula", "paper-published", "legacy", "generated"]))
+    return ThreatModel(
+        score_sets={**builtin.score_sets, "generated": generated},
+        vectors=builtin.vectors,
+        paths=(path,),
+        config=replace(builtin.config, defence_probability=d, score_set=source),
+    )
+
+
+class TestGeneratedModels:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(model=generated_models())
+    def test_chain_rows(self, model):
+        path = model.paths[0]
+        _, rows, _ = _chain_rows(path, model)
+        for i, row in enumerate(rows):
+            assert abs(sum(row) - 1.0) <= 1e-12
+            assert all(0.0 <= value <= 1.0 for value in row)
+            assert all(value == 0.0 for j, value in enumerate(row) if abs(i - j) > 1)
+        attack = stage_attack_probabilities(path, model)
+        cases = birth_death_chain(attack, model.config.defence_probability)
+        assert cases.matrix.tolist() == rows
+        chain = build_chain(path, model)
+        assert chain.matrix.tolist() == rows
+
+        out = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, redirect_stdout(out):
+            document = Path(tmp, "model.json")
+            document.write_text(serialize_model(model), encoding="utf-8")
+            assert main(["matrix", "--id", "g", "--model", str(document),
+                         "--format", "json"]) == 0
+        printed = json.loads(out.getvalue())["forward_path_product"]
+        assert printed.hex() == float(np.prod(chain.forward_probabilities())).hex()
