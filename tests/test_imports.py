@@ -67,7 +67,11 @@ def test_commands_without_a_chain_load_no_numpy(argv, model_args):
     assert heavy_modules_after_main(argv + model_args) == []
 
 
-@pytest.mark.parametrize("argv", [["simulate", "--id", "1", "--trials", "100"]])
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--id", "1", "--trials", "100", "--horizon", "50", "--seed", "7"],
+     ["simulate", "--id", "1", "--trials", "100"]],
+)
 def test_commands_with_a_chain_load_numpy(argv):
     assert heavy_modules_after_main(argv) == list(HEAVY)
 
