@@ -19,7 +19,7 @@ from riskctl import (
 
 def main():
     model = builtin_paper_model()
-    d = model.defence_probability
+    d = model.config.defence_probability
     print(f"Built-in model: {len(model.paths)} paths, defence probability d = {d}\n")
 
     for path in model.paths:

@@ -15,14 +15,11 @@ from .cvss import (
     Rounding,
     ScoreBreakdown,
     WeightTable,
-    base_score,
-    environmental_score,
     impact_bias_weights,
     lookup_weight,
     max_total_score,
     round_half_up,
     score_breakdown,
-    temporal_score,
 )
 from .errors import (
     DocumentError,
@@ -53,7 +50,6 @@ from .model import (
     parse_model,
     resolve_score,
     serialize_model,
-    validate_path,
 )
 from .report import (
     CheckResult,
@@ -123,11 +119,9 @@ __all__ = [
     "ValidationError",
     "ViewDomain",
     "WeightTable",
-    "base_score",
     "build_chain",
     "build_results_grid",
     "builtin_paper_model",
-    "environmental_score",
     "hit_probability_within",
     "impact_bias_weights",
     "lookup_weight",
@@ -147,7 +141,5 @@ __all__ = [
     "stage_attack_probability",
     "stage_forward_probabilities",
     "stage_series",
-    "temporal_score",
-    "validate_path",
     "validate_stochastic",
 ]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from types import MappingProxyType
-from typing import Mapping
+from typing import Any, Mapping
 
 from .errors import IncompleteVectorError, UnknownLabelError
 
@@ -100,13 +100,9 @@ class WeightTable:
                 raise ValueError(f"impact bias {label} = {triple} outside [0, 1]")
 
 
-def _freeze(table: Mapping[str, Mapping[str, float]]) -> Mapping[str, Mapping[str, float]]:
-    return MappingProxyType({k: MappingProxyType(dict(v)) for k, v in table.items()})
-
-
 DEFAULT_WEIGHT_TABLE = WeightTable(
-    weights=_freeze(_DEFAULT_WEIGHTS),
-    impact_bias=MappingProxyType({k: tuple(v) for k, v in _DEFAULT_IMPACT_BIAS.items()}),
+    weights=MappingProxyType({k: MappingProxyType(dict(v)) for k, v in _DEFAULT_WEIGHTS.items()}),
+    impact_bias=MappingProxyType(dict(_DEFAULT_IMPACT_BIAS)),
 )
 
 
@@ -196,40 +192,13 @@ def _require_complete(vector: CvssVector) -> None:
 # Score components
 # ---------------------------------------------------------------------------
 
-def base_score(vector: CvssVector, table: WeightTable = DEFAULT_WEIGHT_TABLE) -> float:
-    """Unrounded base score: 10 * AV * AC * A * (CI*CIB + II*IIB + AI*AIB)."""
-    _require_complete(vector)
-    av = lookup_weight("AV", vector.av, table)
-    ac = lookup_weight("AC", vector.ac, table)
-    auth = lookup_weight("A", vector.a, table)
-    ci = lookup_weight("CI", vector.ci, table)
-    ii = lookup_weight("II", vector.ii, table)
-    ai = lookup_weight("AI", vector.ai, table)
-    cib, iib, aib = impact_bias_weights(vector.ib, table)
-    return 10.0 * av * ac * auth * (ci * cib + ii * iib + ai * aib)
-
-
-def temporal_score(
-    vector: CvssVector, base: float, table: WeightTable = DEFAULT_WEIGHT_TABLE
-) -> float:
-    """Unrounded temporal score: base * E * RL * RC."""
-    if base < 0:
-        raise ValueError(f"base score must be non-negative, got {base}")
-    e = lookup_weight("E", vector.e, table)
-    rl = lookup_weight("RL", vector.rl, table)
-    rc = lookup_weight("RC", vector.rc, table)
-    return base * e * rl * rc
-
-
-def environmental_score(
-    vector: CvssVector, temporal: float, table: WeightTable = DEFAULT_WEIGHT_TABLE
-) -> float:
-    """Unrounded environmental score: (temporal + (10 - temporal) * CDP) * TD."""
-    if temporal < 0:
-        raise ValueError(f"temporal score must be non-negative, got {temporal}")
-    cdp = lookup_weight("CDP", vector.cdp, table)
-    td = lookup_weight("TD", vector.td, table)
-    return (temporal + (10.0 - temporal) * cdp) * td
+def _components(w: Mapping[str, Any]) -> tuple[float, float, float]:
+    """Unrounded (base, temporal, environmental) from one weight per
+    parameter, ``w["IB"]`` being the (CIB, IIB, AIB) triple."""
+    cib, iib, aib = w["IB"]
+    base = 10.0 * w["AV"] * w["AC"] * w["A"] * (w["CI"] * cib + w["II"] * iib + w["AI"] * aib)
+    temporal = base * w["E"] * w["RL"] * w["RC"]
+    return base, temporal, (temporal + (10.0 - temporal) * w["CDP"]) * w["TD"]
 
 
 def score_breakdown(
@@ -243,11 +212,16 @@ def score_breakdown(
     the unrounded base, environmental from the unrounded temporal).
     Under ``Rounding.PAPER`` each component is then rounded half-up to
     one decimal and the total is the sum of the rounded components;
-    under ``Rounding.RAW`` the total is the exact sum.
+    under ``Rounding.RAW`` the total is the exact sum.  Labels are
+    looked up in ``PARAMETERS`` order, so an ``UnknownLabelError`` names
+    the first one the table lacks.
     """
-    b = base_score(vector, table)
-    t = temporal_score(vector, b, table)
-    e = environmental_score(vector, t, table)
+    _require_complete(vector)
+    b, t, e = _components({
+        p: impact_bias_weights(vector.ib, table) if p == "IB"
+        else lookup_weight(p, vector.label(p), table)
+        for p in PARAMETERS
+    })
     if rounding is Rounding.PAPER:
         b, t, e = round_half_up(b), round_half_up(t), round_half_up(e)
     return ScoreBreakdown(base=b, temporal=t, environmental=e, total=b + t + e)
@@ -262,16 +236,7 @@ def max_total_score(table: WeightTable = DEFAULT_WEIGHT_TABLE) -> float:
     three at once).  For the default table this gives base 15, temporal
     15, environmental 12.5, total 42.5.
     """
-    def pmax(parameter: str) -> float:
-        return max(table.weights[parameter].values())
-
-    cib_max = max(triple[0] for triple in table.impact_bias.values())
-    iib_max = max(triple[1] for triple in table.impact_bias.values())
-    aib_max = max(triple[2] for triple in table.impact_bias.values())
-
-    base_max = 10.0 * pmax("AV") * pmax("AC") * pmax("A") * (
-        pmax("CI") * cib_max + pmax("II") * iib_max + pmax("AI") * aib_max
-    )
-    temporal_max = base_max * pmax("E") * pmax("RL") * pmax("RC")
-    env_max = (temporal_max + (10.0 - temporal_max) * pmax("CDP")) * pmax("TD")
-    return base_max + temporal_max + env_max
+    maxima: dict[str, Any] = {p: max(labels.values()) for p, labels in table.weights.items()}
+    maxima["IB"] = tuple(map(max, zip(*table.impact_bias.values())))
+    b, t, e = _components(maxima)
+    return b + t + e

@@ -195,10 +195,6 @@ class ThreatModel:
                 "defence_probability",
             )
 
-    @property
-    def defence_probability(self) -> float | tuple[float, ...]:
-        return self.config.defence_probability
-
     def path(self, path_id: str) -> AttackPath:
         for p in self.paths:
             if p.id == path_id:
@@ -207,7 +203,7 @@ class ThreatModel:
 
 
 # ---------------------------------------------------------------------------
-# Score resolution and path validation
+# Score resolution
 # ---------------------------------------------------------------------------
 
 def resolve_score(
@@ -235,27 +231,6 @@ def resolve_score(
     except KeyError:
         raise UnknownScoreSetError(f"no score set named {source!r}") from None
     return score_set.totals[domain]
-
-
-def validate_path(model: ThreatModel, path: AttackPath) -> list[str]:
-    """Return a list of violations; an empty list means the path is valid."""
-    violations: list[str] = []
-    if not path.stages:
-        violations.append(f"path {path.id!r}: stages must be non-empty")
-    if path.first_stage_index < 1:
-        violations.append(
-            f"path {path.id!r}: first stage index must be >= 1, "
-            f"got {path.first_stage_index}"
-        )
-    for pos, stage in enumerate(path.stages, start=1):
-        if not isinstance(stage.view_domain, ViewDomain):
-            violations.append(f"path {path.id!r} stage {pos}: unresolvable view domain")
-            continue
-        try:
-            resolve_score(model, stage.view_domain)
-        except (UnknownScoreSetError, MissingVectorError) as exc:
-            violations.append(f"path {path.id!r} stage {pos}: {exc}")
-    return violations
 
 
 # ---------------------------------------------------------------------------

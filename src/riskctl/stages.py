@@ -31,7 +31,9 @@ def stage_attack_probability(
 
     Exponential law: ``1 - exp(-k * i * f / normalization)``; linear
     law: ``f / normalization`` independent of the index.  Scores above
-    the normalization constant are allowed but warn.  ``config`` needs
+    the normalization constant are allowed but warn.  A zero score gives
+    0.0 even when ``k * i`` overflows, and an index past the float range
+    gives the limit 1.0 for a positive score.  ``config`` needs
     no check here: every ``AnalysisConfig`` was checked when it was
     built, so this never raises ``InvalidConfigError``.
 
@@ -50,7 +52,12 @@ def stage_attack_probability(
         )
     if config.probability_law is ProbabilityLaw.LINEAR:
         return min(score / norm, 1.0)
-    return 1.0 - math.exp(-k * stage_index * score / norm)
+    if score == 0.0:  # k * i may be inf, and inf * 0 is NaN
+        return 0.0
+    try:
+        return 1.0 - math.exp(-k * stage_index * score / norm)
+    except OverflowError:  # stage_index does not convert to a float
+        return 1.0
 
 
 def stage_attack_probabilities(

@@ -92,6 +92,22 @@ class TestStageAttackProbability:
         for i in (1, 3, 10):
             assert stage_attack_probability(i, 0.0, config) == 0.0
 
+    def test_zero_score_when_k_times_index_overflows(self):
+        config = AnalysisConfig(exponent_coefficient=1e308)
+        assert stage_attack_probability(2, 0.0, config) == 0.0
+        assert stage_attack_probability(2, 14.5, config) == 1.0
+
+    def test_index_past_float_range_gives_the_limit(self):
+        config = AnalysisConfig()
+        assert stage_attack_probability(10**400, 14.5, config) == 1.0
+        assert stage_attack_probability(10**400, 0.0, config) == 0.0
+        # The largest convertible indices keep the formula's value.
+        tiny = AnalysisConfig(exponent_coefficient=1e-310)
+        for i in (2**1023, 2**1024 - 2**971):
+            expected = 1.0 - math.exp(-1e-310 * i * 14.5 / 42.5)
+            assert 0.0 < expected < 1.0
+            assert stage_attack_probability(i, 14.5, tiny) == expected
+
     def test_linear_law_independent_of_index(self):
         config = AnalysisConfig(probability_law=ProbabilityLaw.LINEAR)
         values = {stage_attack_probability(i, 14.5, config) for i in range(1, 8)}

@@ -365,6 +365,36 @@ class TestNonFiniteFlags:
         assert out == "" and "defence probability" in err
 
 
+class TestStageProbabilityLimits:
+    def test_zero_score_with_overflowing_coefficient(self, capsys, tmp_path):
+        doc = model_to_dict(builtin_paper_model())
+        doc["score_sets"]["zero"] = dict.fromkeys(("data", "software", "networking", "hardware"), 0)
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "path", "--model", str(path), "--id", "1", "--score-set",
+                             "zero", "--k", "1e308", "--first-index", "2", "--format", "json")
+        assert code == 0 and err == ""
+        assert "NaN" not in out
+        assert json.loads(out)["realization_probability"] == 0.0
+
+    def test_first_index_past_float_range(self, capsys):
+        code, out, err = run(capsys, "path", "--id", "1", "--first-index", str(10**400),
+                             "--format", "json")
+        assert code == 0 and err == ""
+        assert "NaN" not in out
+        assert [s["attack_prob"] for s in json.loads(out)["stages"]] == [1.0] * 4
+
+    def test_report_on_document_with_huge_first_index(self, capsys, tmp_path):
+        doc = model_to_dict(builtin_paper_model())
+        doc["paths"][0]["first_stage_index"] = 10**400
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        for fmt in ("table", "json"):
+            code, out, err = run(capsys, "report", "--model", str(path), "--format", fmt)
+            assert code == 0 and err == ""
+            assert "NaN" not in out
+
+
 class TestFormulaWithoutVector:
     def test_score_formula_needs_vector(self, capsys, tmp_path):
         doc = model_to_dict(builtin_paper_model())

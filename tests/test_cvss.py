@@ -3,20 +3,20 @@
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskctl.cvss import (
     DEFAULT_WEIGHT_TABLE,
+    PARAMETERS,
     CvssVector,
     Rounding,
     WeightTable,
-    base_score,
-    environmental_score,
     impact_bias_weights,
     lookup_weight,
     max_total_score,
     round_half_up,
     score_breakdown,
-    temporal_score,
 )
 from riskctl.errors import IncompleteVectorError, UnknownLabelError
 
@@ -92,65 +92,66 @@ class TestImpactBiasWeights:
             impact_bias_weights("X")
 
 
+def raw(vector):
+    """Unrounded components of ``vector`` under the default table."""
+    return score_breakdown(vector, rounding=Rounding.RAW)
+
+
 class TestBaseScore:
     def test_data_column(self):
-        assert base_score(DATA) == pytest.approx(6.8, abs=1e-12)
+        assert raw(DATA).base == pytest.approx(6.8, abs=1e-12)
 
     def test_software_column(self):
-        assert base_score(SOFTWARE) == pytest.approx(4.8, abs=1e-12)
+        assert raw(SOFTWARE).base == pytest.approx(4.8, abs=1e-12)
 
     def test_zero_impact(self):
         vector = CvssVector(av="R", ac="L", a="N", ci="N", ii="N", ai="N", ib="N",
                             e="H", rl="U", rc="C", cdp="H", td="H")
-        assert base_score(vector) == 0.0
+        assert raw(vector).base == 0.0
 
     def test_incomplete_vector(self):
         vector = CvssVector(av="", ac="H", a="N", ci="P", ii="C", ai="P", ib="I",
                             e="PoC", rl="TF", rc="UCB", cdp="H", td="M")
         with pytest.raises(IncompleteVectorError):
-            base_score(vector)
+            raw(vector)
 
 
 class TestTemporalScore:
     def test_data_column(self):
-        assert temporal_score(DATA, 6.8) == pytest.approx(5.2326, abs=1e-9)
-        assert round_half_up(temporal_score(DATA, 6.8)) == 5.2
+        assert raw(DATA).temporal == pytest.approx(5.2326, abs=1e-9)
+        assert round_half_up(raw(DATA).temporal) == 5.2
 
     def test_hardware_column_chains_unrounded_base(self):
-        base = base_score(HARDWARE)
-        assert base == pytest.approx(3.35664, abs=1e-9)
-        temporal = temporal_score(HARDWARE, base)
-        assert temporal == pytest.approx(2.3654, abs=5e-5)
-        assert round_half_up(temporal) == 2.4
+        b = raw(HARDWARE)
+        assert b.base == pytest.approx(3.35664, abs=1e-9)
+        assert b.temporal == pytest.approx(2.3654, abs=5e-5)
+        assert round_half_up(b.temporal) == 2.4
 
     def test_unity_multipliers(self):
         vector = CvssVector(av="R", ac="L", a="N", ci="C", ii="C", ai="C", ib="C",
                             e="H", rl="U", rc="C", cdp="N", td="N")
-        base = base_score(vector)
-        assert temporal_score(vector, base) == base
-
-    def test_negative_base_rejected(self):
-        with pytest.raises(ValueError):
-            temporal_score(DATA, -1.0)
+        assert raw(vector).temporal == raw(vector).base
 
 
 class TestEnvironmentalScore:
     def test_data_column(self):
-        assert environmental_score(DATA, 5.2326) == pytest.approx(5.712225, abs=1e-9)
-        assert round_half_up(environmental_score(DATA, 5.2326)) == 5.7
+        assert raw(DATA).environmental == pytest.approx(5.712225, abs=1e-9)
+        assert round_half_up(raw(DATA).environmental) == 5.7
 
     def test_zero_target_distribution(self):
-        vector = CvssVector(av="R", ac="H", a="N", ci="P", ii="C", ai="P", ib="I",
-                            e="PoC", rl="TF", rc="UCB", cdp="H", td="N")
-        for temporal in (0.0, 3.7, 9.9):
-            assert environmental_score(vector, temporal) == 0.0
+        temporals = set()
+        for ci, e in product("NPC", ("U", "H")):
+            vector = CvssVector(av="R", ac="H", a="N", ci=ci, ii="C", ai="P", ib="C",
+                                e=e, rl="TF", rc="UCB", cdp="H", td="N")
+            temporals.add(raw(vector).temporal)
+            assert raw(vector).environmental == 0.0
+        assert len(temporals) == 6
 
     def test_networking_formula_value(self):
         # The formula yields 5.8997; the published table prints 5.3.  The
         # engine reports the formula value and leaves the published total
         # to the named score set.
-        temporal = temporal_score(NETWORKING, base_score(NETWORKING))
-        env = environmental_score(NETWORKING, temporal)
+        env = raw(NETWORKING).environmental
         assert env == pytest.approx(5.8997325, abs=1e-6)
         assert round_half_up(env) == 5.9
 
@@ -172,16 +173,21 @@ class TestScoreBreakdown:
 
     def test_raw_total_is_exact_sum(self):
         for vector in (DATA, SOFTWARE, NETWORKING, HARDWARE):
-            b = score_breakdown(vector, rounding=Rounding.RAW)
-            assert b.total == pytest.approx(
-                b.base + b.temporal + b.environmental, abs=1e-12
-            )
-            # Raw components equal the chained single-step functions.
-            base = base_score(vector)
-            temporal = temporal_score(vector, base)
-            assert b.base == base
-            assert b.temporal == temporal
-            assert b.environmental == environmental_score(vector, temporal)
+            b = raw(vector)
+            assert b.total == b.base + b.temporal + b.environmental
+
+    @pytest.mark.parametrize(
+        "labels, reported",
+        [
+            ({"ai": "X", "e": "X"}, "parameter AI"),
+            ({"ib": "X", "e": "X"}, "parameter IB"),
+            ({"e": "X", "td": "X"}, "parameter E"),
+        ],
+    )
+    def test_first_unknown_label_in_parameter_order(self, labels, reported):
+        vector = CvssVector(**{**DATA.to_dict(), **labels})
+        with pytest.raises(UnknownLabelError, match=reported):
+            raw(vector)
 
     def test_temporal_never_exceeds_base(self):
         # Exhaustive over every complete vector (fixed env labels; they
@@ -192,9 +198,9 @@ class TestScoreBreakdown:
         for av, ac, a, ci, ii, ai, ib, e, rl, rc in combos:
             vector = CvssVector(av=av, ac=ac, a=a, ci=ci, ii=ii, ai=ai, ib=ib,
                                 e=e, rl=rl, rc=rc, cdp="H", td="H")
-            base = base_score(vector)
-            assert 0.0 <= base <= 15.0
-            assert temporal_score(vector, base) <= base + 1e-12
+            b = raw(vector)
+            assert 0.0 <= b.base <= 15.0
+            assert b.temporal <= b.base + 1e-12
 
     def test_neutral_bias_is_permutation_invariant(self):
         for ci, ii, ai in product("NPC", repeat=3):
@@ -203,7 +209,7 @@ class TestScoreBreakdown:
                 vector = CvssVector(av="R", ac="H", a="N", ci=p_ci, ii=p_ii,
                                     ai=p_ai, ib="N", e="PoC", rl="TF", rc="UCB",
                                     cdp="H", td="M")
-                value = base_score(vector)
+                value = raw(vector).base
                 if reference is None:
                     reference = value
                 assert value == pytest.approx(reference, abs=1e-12)
@@ -285,3 +291,78 @@ class TestMaxTotalScore:
         weights["AV"]["R"] = 1.2
         with pytest.raises(ValueError):
             WeightTable(weights=weights, impact_bias=dict(DEFAULT_WEIGHT_TABLE.impact_bias))
+
+
+# ---------------------------------------------------------------------------
+# The one formula, over generated tables and vectors
+# ---------------------------------------------------------------------------
+
+def reference_components(av, ac, a, ci, ii, ai, ib, e, rl, rc, cdp, td):
+    """Base, temporal and environmental written out from the CVSS v1
+    scheme, one weight per parameter in ``PARAMETERS`` order (IB the
+    (CIB, IIB, AIB) triple)."""
+    cib, iib, aib = ib
+    base = 10.0 * av * ac * a * (ci * cib + ii * iib + ai * aib)
+    temporal = base * e * rl * rc
+    return base, temporal, (temporal + (10.0 - temporal) * cdp) * td
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+SCALAR_PARAMETERS = [p for p in PARAMETERS if p != "IB"]
+# Quarter weights make components that end in 5 at the second decimal,
+# where half-up rounding differs from round-half-even.
+weights = st.one_of(st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)),
+                    st.floats(min_value=0.0, max_value=1.0))
+
+
+def label_tables(values):
+    return st.dictionaries(st.sampled_from(("L0", "L1", "L2", "L3")), values,
+                           min_size=1, max_size=4)
+
+
+weight_tables = st.builds(
+    WeightTable,
+    weights=st.fixed_dictionaries({p: label_tables(weights) for p in SCALAR_PARAMETERS}),
+    impact_bias=label_tables(st.tuples(weights, weights, weights)),
+)
+
+
+@st.composite
+def tables_and_vectors(draw):
+    table = draw(weight_tables)
+    labels = {p.lower(): draw(st.sampled_from(sorted(table.weights[p])))
+              for p in SCALAR_PARAMETERS}
+    labels["ib"] = draw(st.sampled_from(sorted(table.impact_bias)))
+    return table, CvssVector(**labels)
+
+
+class TestSharedFormula:
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(tables_and_vectors())
+    def test_breakdown_is_the_reference_formula(self, case):
+        table, vector = case
+        expected = reference_components(*[
+            table.impact_bias[vector.ib] if p == "IB" else table.weights[p][vector.label(p)]
+            for p in PARAMETERS
+        ])
+        b = score_breakdown(vector, table, Rounding.RAW)
+        assert bits((b.base, b.temporal, b.environmental)) == bits(expected)
+        assert bits([b.total]) == bits([expected[0] + expected[1] + expected[2]])
+        rounded = [round_half_up(x) for x in expected]
+        p = score_breakdown(vector, table, Rounding.PAPER)
+        assert bits((p.base, p.temporal, p.environmental)) == bits(rounded)
+        assert bits([p.total]) == bits([rounded[0] + rounded[1] + rounded[2]])
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(weight_tables)
+    def test_max_total_is_the_reference_formula_at_the_maxima(self, table):
+        maxima = [
+            tuple(max(t[i] for t in table.impact_bias.values()) for i in range(3))
+            if p == "IB" else max(table.weights[p].values())
+            for p in PARAMETERS
+        ]
+        base, temporal, env = reference_components(*maxima)
+        assert bits([max_total_score(table)]) == bits([base + temporal + env])

@@ -7,8 +7,6 @@ import pytest
 
 from riskctl import (
     AnalysisConfig,
-    AttackPath,
-    Attacker,
     AttackStage,
     ProbabilityLaw,
     ReferenceDomain,
@@ -22,7 +20,6 @@ from riskctl import (
     parse_model,
     resolve_score,
     serialize_model,
-    validate_path,
 )
 from riskctl.errors import (
     DocumentSyntaxError,
@@ -62,7 +59,7 @@ class TestBuiltinModel:
         assert legacy[ViewDomain.DATA] == 21.1
 
     def test_defence_and_config(self, model):
-        assert model.defence_probability == 0.1
+        assert model.config.defence_probability == 0.1
         assert model.config.exponent_coefficient == 2.0
         assert model.config.normalization == 42.5
         assert model.config.score_set == "paper-published"
@@ -72,10 +69,6 @@ class TestBuiltinModel:
         path = model.path("4")
         assert path.origin is ReferenceDomain.CLOUD
         assert path.origins == (ReferenceDomain.CLOUD, ReferenceDomain.INFRA_EDGE)
-
-    def test_all_paths_validate(self, model):
-        for path in model.paths:
-            assert validate_path(model, path) == []
 
     def test_unknown_path(self, model):
         with pytest.raises(UnknownPathError):
@@ -116,27 +109,6 @@ class TestResolveScore:
         stripped = replace(model, vectors=None)
         with pytest.raises(MissingVectorError):
             resolve_score(stripped, ViewDomain.DATA, "formula")
-
-
-class TestValidatePath:
-    def test_empty_stages(self, model):
-        path = AttackPath(id="x", attacker=Attacker.UNAUTHORIZED,
-                          origin=ReferenceDomain.CLOUD, stages=())
-        violations = validate_path(model, path)
-        assert any("non-empty" in v for v in violations)
-
-    def test_bad_first_index(self, model):
-        path = replace(model.path("1"), first_stage_index=0)
-        violations = validate_path(model, path)
-        assert any(">= 1" in v for v in violations)
-
-    def test_unresolvable_score_source(self, model):
-        broken = replace(
-            model, vectors=None,
-            config=replace(model.config, score_set="formula"),
-        )
-        violations = validate_path(broken, broken.path("1"))
-        assert violations and all("stage" in v for v in violations)
 
 
 class TestParseModel:
