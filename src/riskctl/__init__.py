@@ -45,7 +45,6 @@ from .model import (
     ThreatModel,
     ViewDomain,
     builtin_paper_model,
-    model_to_dict,
     paper_model_document,
     parse_model,
     resolve_score,
@@ -127,7 +126,6 @@ __all__ = [
     "lookup_weight",
     "max_total_score",
     "mean_time_to_compromise",
-    "model_to_dict",
     "paper_model_document",
     "parse_model",
     "realization_probability",

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import astuple, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .config import FORMULA_SOURCE, AnalysisConfig
@@ -32,7 +32,7 @@ from .model import (
     resolve_score,
 )
 from .report import StageSeriesRow, build_results_grid, run_verification, stage_series
-from .stages import _chain_rows, _stochastic_violations, realization_probability
+from .stages import _chain_rows, _stochastic_violations
 
 _ATTACKER_ORDER = (Attacker.AUTHORIZED, Attacker.UNAUTHORIZED)
 _ORIGIN_ORDER = (ReferenceDomain.CLOUD, ReferenceDomain.INFRA_EDGE, ReferenceDomain.VEHICLE)
@@ -178,13 +178,14 @@ def _cmd_score(args, model: ThreatModel, config: AnalysisConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def _series_rows(rows) -> list[list]:
-    return [list(astuple(r)) for r in rows]
+    return [[getattr(r, column) for column in _SERIES_COLUMNS] for r in rows]
 
 
 def _cmd_path(args, model: ThreatModel, config: AnalysisConfig) -> int:
     path = _first_index(model.path(args.id), args)
-    series = _series_rows(stage_series(path, model, config))
-    w = realization_probability(path, model, config)
+    rows = stage_series(path, model, config)
+    series = _series_rows(rows)
+    w = math.prod(row.forward_prob for row in rows)  # realization_probability, from the rows
     _emit(
         args,
         {
@@ -333,9 +334,10 @@ def _cmd_report(args, model: ThreatModel, config: AnalysisConfig) -> int:
         )
         payload["series"] = [dict(zip(_SERIES_COLUMNS, row)) for row in series]
         csv_view = (_SERIES_COLUMNS, series, [])
-        trailer = [""] + _table_lines(
-            _SERIES_COLUMNS, [[_fixed6(v) for v in row] for row in series]
-        )
+        if args.format == "table":
+            trailer = [""] + _table_lines(
+                _SERIES_COLUMNS, [[_fixed6(v) for v in row] for row in series]
+            )
     _emit(
         args,
         payload,

@@ -5,10 +5,8 @@ score vectors and/or named score-set totals, the defense probability,
 the analysis configuration, and a list of declaratively defined attack
 paths.  Models are immutable after construction and safe to share.
 
-The document format is a UTF-8 JSON object with top-level keys
-``score_sets``, ``vectors``, ``defence``, ``config``, ``paths``, and the
-optional ``weight_table`` override.  Unknown keys anywhere are errors.
-See :func:`parse_model` for the full schema.
+The JSON document form is read and written through one table of keys
+per document object, at the end of this module.
 """
 
 from __future__ import annotations
@@ -16,10 +14,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from enum import Enum
 from importlib import resources
-from typing import Any, Iterable, Mapping
+from operator import attrgetter
+from types import MappingProxyType
+from typing import Any, Callable, Mapping, NamedTuple
 
 from .config import FORMULA_SOURCE, AnalysisConfig, ProbabilityLaw
 from .cvss import (
@@ -255,251 +254,340 @@ def paper_model_document() -> str:
 
 
 # ---------------------------------------------------------------------------
-# Document parsing
+# The document: one table of keys per object
 # ---------------------------------------------------------------------------
+# A field path is a (parent, key) chain that ends in None, the document
+# itself; it becomes text only in the error that reports it.
 
-_TOP_KEYS = ("score_sets", "vectors", "defence", "config", "paths", "weight_table")
-# Document path of each AnalysisConfig field its checks can reject.
-_CONFIG_PATHS = {
-    "defence_probability": "defence.probability",
-    "exponent_coefficient": "config.exponent_coefficient",
-    "normalization": "config.normalization",
-    "score_sources": "$",
-}
+def _invalid(path, reason: str) -> ValidationError:
+    parts = []
+    while path is not None:
+        path, key = path
+        parts.append(f"[{key}]" if isinstance(key, int) else f".{key}")
+    return ValidationError("".join(reversed(parts))[1:] or "$", reason)
 
 
-def _expect_object(value: Any, path: str) -> dict:
+def _object(value: Any, path) -> dict:
     if not isinstance(value, dict):
-        raise ValidationError(path, f"expected an object, got {type(value).__name__}")
+        raise _invalid(path, f"expected an object, got {type(value).__name__}")
     return value
 
 
-def _expect_number(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(path, f"expected a number, got {value!r}")
+def _typed(types, what: str):
+    """Parser of a value of ``types``; a bool is one only if ``types`` is bool."""
+    def parse(value: Any, path, read=None):
+        if not isinstance(value, types) or isinstance(value, bool) and types is not bool:
+            raise _invalid(path, f"expected {what}, got {value!r}")
+        return value
+
+    return parse
+
+
+_string, _bool = _typed(str, "a string"), _typed(bool, "a boolean")
+_integer, _numeric = _typed(int, "an integer"), _typed((int, float), "a number")
+_id = _typed((str, int), "a string or integer")
+
+
+def _number(value: Any, path, read=None) -> float:
     try:
-        number = float(value)
+        number = float(_numeric(value, path))
     except OverflowError:  # an integer literal beyond the float range
         number = math.inf
     if not math.isfinite(number):
-        raise ValidationError(path, f"expected a finite number, got {value!r}")
+        raise _invalid(path, f"expected a finite number, got {value!r}")
     return number
 
 
-def _expect_string(value: Any, path: str) -> str:
-    if not isinstance(value, str):
-        raise ValidationError(path, f"expected a string, got {value!r}")
+def _choice(choices: Mapping[str, Any], reason: str):
+    """Parser of a string that ``choices`` maps to a model value."""
+    def parse(value: Any, path, read=None):
+        if _string(value, path) not in choices:
+            raise _invalid(path, reason.format(value))
+        return choices[value]
+
+    return parse
+
+
+def _enum(enum_cls):
+    codes = {member.value: member for member in enum_cls}
+    return _choice(codes, f"unknown code {{!r}} (expected {'|'.join(codes)})")
+
+
+_view, _ref = _enum(ViewDomain), _enum(ReferenceDomain)
+
+
+def _index(value: Any, path, read=None) -> int:
+    if _integer(value, path) < 1:
+        raise _invalid(path, f"index must be >= 1, got {value}")
     return value
 
 
-def _expect_bool(value: Any, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ValidationError(path, f"expected a boolean, got {value!r}")
+def _description(value: Any, path, read=None) -> str:
+    if not _string(value, path):
+        raise _invalid(path, "description must be non-empty")
     return value
 
 
-def _check_keys(obj: dict, path: str, required: tuple[str, ...], optional: Iterable[str] = ()) -> None:
-    unknown = sorted(set(obj) - set(required) - set(optional))
-    if unknown:
-        raise ValidationError(path, f"unknown key(s): {', '.join(unknown)}")
-    for key in required:
-        if key not in obj:
-            raise ValidationError(path, f"missing key {key!r}")
+_REQUIRED = object()
 
 
-def _enum_from_code(enum_cls, value: Any, path: str):
-    code = _expect_string(value, path)
-    try:
-        return enum_cls(code)
-    except ValueError:
-        valid = "|".join(member.value for member in enum_cls)
-        raise ValidationError(path, f"unknown code {code!r} (expected {valid})") from None
+class _Key(NamedTuple):
+    """One key of a document object.
+
+    ``parse(value, path, read)`` gives the model value; ``read`` holds
+    the keys of the same object read before this one.  ``dump(owner)``
+    gives the document value (an enum member stands for its code), or
+    None to leave the key out: null is never a valid value.  An absent
+    key takes ``default``, unless that is ``_REQUIRED``.  Keys are
+    written in table order and read in (``phase``, table) order.
+    """
+
+    name: str
+    parse: Callable
+    dump: Callable
+    default: Any = _REQUIRED
+    phase: int = 0
 
 
-def _parse_score_sets(raw: Any) -> dict[str, ScoreSet]:
-    raw = _expect_object(raw, "score_sets")
+class _Table:
+    """The keys of one document object, and the one reader of them.
+
+    The reader rejects unknown keys (all named, sorted), then a missing
+    key (the first in table order), then parses the values.  With a
+    ``build``, the object is a record, built from its values in table
+    order.  Without one it holds options: they are read in document
+    order, and the reader returns the ones given as a dict.
+    """
+
+    def __init__(self, *keys: _Key, build: Callable | None = None):
+        self.keys, self.build = keys, build
+        self.by_name = {key.name: key for key in keys}
+        self.required = [key.name for key in keys if key.default is _REQUIRED]
+        self.reading = sorted(keys, key=lambda key: key.phase)
+
+    def parse(self, value: Any, path, read=None):
+        obj = _object(value, path)
+        if not self.by_name.keys() >= obj.keys():
+            unknown = ", ".join(sorted(obj.keys() - self.by_name.keys()))
+            raise _invalid(path, f"unknown key(s): {unknown}")
+        for name in self.required:
+            if name not in obj:
+                raise _invalid(path, f"missing key {name!r}")
+        out: dict[str, Any] = {}
+        if self.build is None:
+            for name, item in obj.items():
+                out[name] = self.by_name[name].parse(item, (path, name), out)
+            return out
+        for key in self.reading:
+            name = key.name
+            out[name] = key.parse(obj[name], (path, name), out) if name in obj else key.default
+        return self.build(*[out[key.name] for key in self.keys])
+
+    def dump(self, owner) -> dict[str, Any]:
+        values = ((key.name, key.dump(owner)) for key in self.keys)
+        return {name: value.value if isinstance(value, Enum) else value
+                for name, value in values if value is not None}
+
+
+_TOTALS = _Table(*(_Key(d.code, _number, lambda s, d=d: s.totals[d], None) for d in ViewDomain))
+
+
+def _parse_score_sets(value: Any, path, read=None) -> dict[str, ScoreSet]:
     sets: dict[str, ScoreSet] = {}
-    for name, entry in raw.items():
-        path = f"score_sets.{name}"
+    for name, entry in _object(value, path).items():
+        at = (path, name)
         if not name or name == FORMULA_SOURCE:
-            raise ValidationError(path, f"reserved or empty score-set name {name!r}")
-        entry = _expect_object(entry, path)
-        _check_keys(entry, path, (), [d.code for d in ViewDomain])
-        totals = {
-            ViewDomain(code): _expect_number(value, f"{path}.{code}")
-            for code, value in entry.items()
-        }
+            raise _invalid(at, f"reserved or empty score-set name {name!r}")
+        totals = {ViewDomain(code): total for code, total in _TOTALS.parse(entry, at).items()}
         try:
             sets[name] = ScoreSet(name=name, totals=totals)
         except InvalidConfigError as exc:
-            raise ValidationError(f"{path}.{exc.field}" if exc.field else path, str(exc)) from None
+            raise _invalid((at, exc.field) if exc.field else at, str(exc)) from None
     return sets
 
 
-def _parse_vectors(raw: Any, table: WeightTable) -> dict[ViewDomain, CvssVector]:
-    raw = _expect_object(raw, "vectors")
-    vectors: dict[ViewDomain, CvssVector] = {}
-    lower = tuple(p.lower() for p in PARAMETERS)
-    for code, entry in raw.items():
-        domain = _enum_from_code(ViewDomain, code, f"vectors.{code}")
-        path = f"vectors.{code}"
-        entry = _expect_object(entry, path)
-        _check_keys(entry, path, lower)
-        labels: dict[str, str] = {}
-        for parameter, key in zip(PARAMETERS, lower):
-            label = _expect_string(entry[key], f"{path}.{key}")
-            known = table.impact_bias if parameter == "IB" else table.weights.get(parameter, {})
-            if label not in known:
-                raise ValidationError(f"{path}.{key}", f"unknown label {label!r}")
-            labels[key] = label
-        vectors[domain] = CvssVector(**labels)
-    return vectors
+def _vector_table(table: WeightTable) -> _Table:
+    """A vector's keys, one per parameter, taking the labels ``table`` defines."""
+    def key(p: str) -> _Key:
+        labels = table.impact_bias if p == "IB" else table.weights.get(p, {})
+        return _Key(p.lower(), _choice({label: label for label in labels}, "unknown label {!r}"),
+                    lambda vector: vector.label(p))
+
+    return _Table(*map(key, PARAMETERS), build=CvssVector)
 
 
-def _parse_weight_table(raw: Any) -> WeightTable:
-    raw = _expect_object(raw, "weight_table")
-    _check_keys(raw, "weight_table", (), [p.lower() for p in PARAMETERS])
-    weights = {p: dict(DEFAULT_WEIGHT_TABLE.weights[p]) for p in PARAMETERS if p != "IB"}
-    impact_bias = dict(DEFAULT_WEIGHT_TABLE.impact_bias)
-    for key, entry in raw.items():
-        parameter = key.upper()
-        path = f"weight_table.{key}"
-        entry = _expect_object(entry, path)
-        if parameter == "IB":
-            triples: dict[str, tuple[float, float, float]] = {}
-            for label, triple in entry.items():
-                if not isinstance(triple, list) or len(triple) != 3:
-                    raise ValidationError(
-                        f"{path}.{label}", "expected a 3-element array [cib, iib, aib]"
-                    )
-                values = tuple(
-                    _expect_number(v, f"{path}.{label}[{i}]") for i, v in enumerate(triple)
-                )
-                triples[label] = values
-            impact_bias = triples
-        else:
-            weights[parameter] = {
-                label: _expect_number(w, f"{path}.{label}") for label, w in entry.items()
-            }
+_VECTOR = _vector_table(DEFAULT_WEIGHT_TABLE)
+
+
+def _parse_vectors(value: Any, path, read) -> dict[ViewDomain, CvssVector]:
+    table = read[_WEIGHT_TABLE.name]
+    vector = _VECTOR if table is DEFAULT_WEIGHT_TABLE else _vector_table(table)
+    return {_view(code, (path, code)): vector.parse(entry, (path, code))
+            for code, entry in _object(value, path).items()}
+
+
+def _weights(value: Any, path, read=None) -> dict[str, float]:
+    return {label: _number(w, (path, label)) for label, w in _object(value, path).items()}
+
+
+def _triples(value: Any, path, read=None) -> dict[str, tuple[float, float, float]]:
+    triples = {}
+    for label, triple in _object(value, path).items():
+        if not isinstance(triple, list) or len(triple) != 3:
+            raise _invalid((path, label), "expected a 3-element array [cib, iib, aib]")
+        triples[label] = tuple(_number(w, ((path, label), i)) for i, w in enumerate(triple))
+    return triples
+
+
+# Every parameter but IB, then IB: the order a custom table is written in.
+_WEIGHTS = _Table(
+    *(_Key(p.lower(), _weights, lambda t, p=p: dict(t.weights[p]), None)
+      for p in PARAMETERS if p != "IB"),
+    _Key("ib", _triples, lambda t: dict(t.impact_bias), None),
+)
+
+
+def _parse_weight_table(value: Any, path, read=None) -> WeightTable:
+    """The default table, with the parameters the document gives replaced."""
+    given = {key.upper(): entry for key, entry in _WEIGHTS.parse(value, path).items()}
     try:
-        return WeightTable(weights=weights, impact_bias=impact_bias)
-    except ValueError as exc:
-        raise ValidationError("weight_table", str(exc)) from None
-
-
-# The parser of each `config` key, in document order.
-_CONFIG_FIELDS = {
-    "exponent_coefficient": _expect_number,
-    "normalization": _expect_number,
-    "defence_on_final_stage": _expect_bool,
-    "score_set": _expect_string,
-    "rounding": partial(_enum_from_code, Rounding),
-    "probability_law": partial(_enum_from_code, ProbabilityLaw),
-}
-
-
-def _parse_config(
-    raw: Any, defence: float | tuple[float, ...] | None, score_sets: dict
-) -> AnalysisConfig:
-    raw = _expect_object(raw, "config") if raw is not None else {}
-    _check_keys(raw, "config", (), _CONFIG_FIELDS)
-    kwargs = {key: _CONFIG_FIELDS[key](value, f"config.{key}") for key, value in raw.items()}
-    if defence is not None:
-        kwargs["defence_probability"] = defence
-    kwargs.setdefault("score_set", next(iter(score_sets), FORMULA_SOURCE))
-    return AnalysisConfig(**kwargs)
-
-
-def _parse_path(raw: Any, index: int) -> AttackPath:
-    path = f"paths[{index}]"
-    raw = _expect_object(raw, path)
-    _check_keys(raw, path, ("id", "attacker", "origin", "stages"), ("first_stage_index",))
-
-    raw_id = raw["id"]
-    if isinstance(raw_id, bool) or not isinstance(raw_id, (str, int)):
-        raise ValidationError(f"{path}.id", f"expected a string or integer, got {raw_id!r}")
-    path_id = str(raw_id)
-
-    attacker = _enum_from_code(Attacker, raw["attacker"], f"{path}.attacker")
-
-    origin_raw = raw["origin"]
-    if isinstance(origin_raw, list):
-        if not origin_raw:
-            raise ValidationError(f"{path}.origin", "origin list must be non-empty")
-        origins = [
-            _enum_from_code(ReferenceDomain, o, f"{path}.origin[{i}]")
-            for i, o in enumerate(origin_raw)
-        ]
-        if len(set(origins)) != len(origins):
-            raise ValidationError(f"{path}.origin", "origin list has duplicates")
-    else:
-        origins = [_enum_from_code(ReferenceDomain, origin_raw, f"{path}.origin")]
-
-    first = 1
-    if "first_stage_index" in raw:
-        value = raw["first_stage_index"]
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValidationError(f"{path}.first_stage_index", f"expected an integer, got {value!r}")
-        if value < 1:
-            raise ValidationError(f"{path}.first_stage_index", f"index must be >= 1, got {value}")
-        first = value
-
-    stages_raw = raw["stages"]
-    if not isinstance(stages_raw, list) or not stages_raw:
-        raise ValidationError(f"{path}.stages", "stages must be a non-empty array")
-    stages = []
-    for i, entry in enumerate(stages_raw):
-        spath = f"{path}.stages[{i}]"
-        entry = _expect_object(entry, spath)
-        _check_keys(entry, spath, ("ref", "domain", "desc"))
-        desc = _expect_string(entry["desc"], f"{spath}.desc")
-        if not desc:
-            raise ValidationError(f"{spath}.desc", "description must be non-empty")
-        stages.append(
-            AttackStage(
-                ref_domain=_enum_from_code(ReferenceDomain, entry["ref"], f"{spath}.ref"),
-                view_domain=_enum_from_code(ViewDomain, entry["domain"], f"{spath}.domain"),
-                description=desc,
-            )
+        return WeightTable(
+            weights={p: dict(given.get(p, w)) for p, w in DEFAULT_WEIGHT_TABLE.weights.items()},
+            impact_bias=dict(given.get("IB", DEFAULT_WEIGHT_TABLE.impact_bias)),
         )
+    except ValueError as exc:
+        raise _invalid(path, str(exc)) from None
 
-    return AttackPath(
-        id=path_id,
-        attacker=attacker,
-        origin=origins[0],
-        origin_aliases=tuple(origins[1:]),
-        stages=tuple(stages),
-        first_stage_index=first,
-    )
+
+def _parse_probability(value: Any, path, read=None) -> float | tuple[float, ...]:
+    # Scalar d, or a per-stage-position array.
+    if isinstance(value, list):
+        return tuple(_number(d, (path, i)) for i, d in enumerate(value))
+    return _number(value, path)
+
+
+_PROBABILITY = _Key("probability", _parse_probability, lambda c: c.defence_probability)
+_DEFENCE = _Table(_PROBABILITY, build=lambda d: d)
+
+
+def _option(name: str, parse: Callable) -> _Key:
+    """A config key, named as the AnalysisConfig field it sets."""
+    return _Key(name, parse, attrgetter(name), None)
+
+
+_SCORE_SET = _option("score_set", _string)
+_OPTIONS = _Table(
+    _option("exponent_coefficient", _number),
+    _option("normalization", _number),
+    _option("defence_on_final_stage", _bool),
+    _SCORE_SET,
+    _option("rounding", _enum(Rounding)),
+    _option("probability_law", _enum(ProbabilityLaw)),
+)
+
+
+def _parse_origins(value: Any, path, read=None) -> tuple[ReferenceDomain, ...]:
+    if not isinstance(value, list):
+        return (_ref(value, path),)
+    if not value:
+        raise _invalid(path, "origin list must be non-empty")
+    origins = tuple(_ref(origin, (path, i)) for i, origin in enumerate(value))
+    if len(set(origins)) != len(origins):
+        raise _invalid(path, "origin list has duplicates")
+    return origins
+
+
+def _parse_stages(value: Any, path, read=None) -> tuple[AttackStage, ...]:
+    if not isinstance(value, list) or not value:
+        raise _invalid(path, "stages must be a non-empty array")
+    return tuple(_STAGE.parse(entry, (path, i)) for i, entry in enumerate(value))
+
+
+_STAGE = _Table(
+    _Key("ref", _ref, lambda s: s.ref_domain),
+    _Key("domain", _view, lambda s: s.view_domain),
+    _Key("desc", _description, lambda s: s.description, phase=-1),
+    build=AttackStage,
+)
+_PATH_ID = _Key("id", lambda v, path, read: str(_id(v, path)), lambda p: p.id)
+_PATH = _Table(
+    _PATH_ID,
+    _Key("attacker", _enum(Attacker), lambda p: p.attacker),
+    _Key("origin", _parse_origins,
+         lambda p: [o.code for o in p.origins] if p.origin_aliases else p.origin.code),
+    _Key("first_stage_index", _index, lambda p: p.first_stage_index, 1),
+    _Key("stages", _parse_stages, lambda p: [_STAGE.dump(s) for s in p.stages]),
+    build=lambda path_id, attacker, origins, first, stages: AttackPath(
+        path_id, attacker, origins[0], stages, first, origins[1:]),
+)
+
+
+def _parse_paths(value: Any, path, read=None) -> tuple[AttackPath, ...]:
+    if not isinstance(value, list):
+        raise _invalid(path, "expected an array")
+    paths: dict[str, AttackPath] = {}
+    for i, entry in enumerate(value):
+        parsed = _PATH.parse(entry, (path, i))
+        if parsed.id in paths:
+            raise _invalid(((path, i), _PATH_ID.name), f"duplicate path id {parsed.id!r}")
+        paths[parsed.id] = parsed
+    return tuple(paths.values())
+
+
+def _build_model(score_sets, vectors, table, defence, options, paths) -> ThreatModel:
+    """The value objects check their own ranges; their errors get a document path here."""
+    options = {_SCORE_SET.name: next(iter(score_sets), FORMULA_SOURCE), **options}
+    config_path = (None, _CONFIG.name)
+    try:
+        model = ThreatModel(score_sets, vectors, paths, AnalysisConfig(defence, **options), table)
+    except InvalidConfigError as exc:
+        # Any other field the checks name is a config key.
+        at = {"score_sources": None,
+              "defence_probability": ((None, _DEFENCE_KEY.name), _PROBABILITY.name)}
+        raise _invalid(at.get(exc.field, (config_path, exc.field)), str(exc)) from None
+    selected = model.config.score_set
+    if selected == FORMULA_SOURCE and vectors is None:
+        raise _invalid((config_path, _SCORE_SET.name), "formula scoring requires vectors")
+    if selected != FORMULA_SOURCE and selected not in score_sets:
+        raise _invalid((config_path, _SCORE_SET.name), f"unknown score set {selected!r}")
+    return model
+
+
+# The weight table is read first, as the vectors' labels come from it,
+# and config last, after paths.
+_WEIGHT_TABLE = _Key(
+    "weight_table", _parse_weight_table,
+    lambda m: _WEIGHTS.dump(m.weight_table) if m.weight_table != DEFAULT_WEIGHT_TABLE else None,
+    DEFAULT_WEIGHT_TABLE, phase=-1,
+)
+_DEFENCE_KEY = _Key("defence", _DEFENCE.parse, lambda m: _DEFENCE.dump(m.config),
+                    AnalysisConfig.defence_probability)
+_CONFIG = _Key("config", _OPTIONS.parse, lambda m: _OPTIONS.dump(m.config), {}, phase=1)
+_DOCUMENT = _Table(
+    _Key("score_sets", _parse_score_sets,
+         lambda m: {name: _TOTALS.dump(s) for name, s in m.score_sets.items()} or None,
+         MappingProxyType({})),
+    _Key("vectors", _parse_vectors,
+         lambda m: {d.code: _VECTOR.dump(v) for d, v in (m.vectors or {}).items()} or None, None),
+    _WEIGHT_TABLE,
+    _DEFENCE_KEY,
+    _CONFIG,
+    _Key("paths", _parse_paths, lambda m: [_PATH.dump(p) for p in m.paths], ()),
+    build=_build_model,
+)
 
 
 def parse_model(document: str) -> ThreatModel:
     """Parse and fully validate a threat-model document.
 
-    Schema (all top-level keys optional unless noted)::
-
-        {
-          "score_sets":   {name: {"data": t, "software": t, "networking": t, "hardware": t}},
-          "vectors":      {domain: {"av": .., "ac": .., "a": .., "ci": .., "ii": .., "ai": ..,
-                                    "ib": .., "e": .., "rl": .., "rc": .., "cdp": .., "td": ..}},
-          "defence":      {"probability": d},
-          "config":       {"exponent_coefficient": k, "normalization": n,
-                           "defence_on_final_stage": bool, "score_set": name | "formula",
-                           "rounding": "paper" | "raw", "probability_law": "exponential" | "linear"},
-          "weight_table": {parameter: {label: weight}, "ib": {label: [cib, iib, aib]}},
-          "paths":        [{"id": .., "attacker": "authorized" | "unauthorized",
-                            "origin": ref | [ref, ...], "first_stage_index": n,
-                            "stages": [{"ref": .., "domain": .., "desc": ..}]}]
-        }
-
-    Domain codes: ``data|software|networking|hardware``; ref codes:
-    ``cloud|infra_edge|vehicle``.  At least one score source
-    (``vectors`` or a score set) must be present.  ``weight_table``
-    entries replace the default table per parameter.  Unknown keys,
-    NaN and infinite numbers are rejected.  A ``defence.probability``
-    array needs an entry for every stage of the longest path.  Value
-    ranges are checked by the value objects (``AnalysisConfig``,
-    ``ScoreSet``, ``ThreatModel``); their errors get the field path here.
+    The keys are those of the tables above; the README shows a full
+    document.  At least one score source (``vectors`` or a score set)
+    must be present, and ``weight_table`` entries replace the default
+    table per parameter.  Unknown keys, ``null`` values, NaN and
+    infinite numbers are rejected.  A ``defence.probability`` array
+    needs an entry for every stage of the longest path.  Value ranges
+    are checked by the value objects (``AnalysisConfig``, ``ScoreSet``,
+    ``ThreatModel``); their errors get the field path here.
 
     Raises:
         DocumentSyntaxError: malformed JSON.
@@ -509,105 +597,9 @@ def parse_model(document: str) -> ThreatModel:
         raw = json.loads(document)
     except json.JSONDecodeError as exc:
         raise DocumentSyntaxError(f"malformed document: {exc}") from None
-    raw = _expect_object(raw, "$")
-    _check_keys(raw, "$", (), _TOP_KEYS)
-
-    table = _parse_weight_table(raw["weight_table"]) if "weight_table" in raw else DEFAULT_WEIGHT_TABLE
-    score_sets = _parse_score_sets(raw["score_sets"]) if "score_sets" in raw else {}
-    vectors = _parse_vectors(raw["vectors"], table) if "vectors" in raw else None
-
-    defence: float | tuple[float, ...] | None = None
-    if "defence" in raw:
-        entry = _expect_object(raw["defence"], "defence")
-        _check_keys(entry, "defence", ("probability",))
-        value = entry["probability"]
-        # Scalar d, or a per-stage-position array (forward-compatible form).
-        if isinstance(value, list):
-            defence = tuple(
-                _expect_number(v, f"defence.probability[{i}]") for i, v in enumerate(value)
-            )
-        else:
-            defence = _expect_number(value, "defence.probability")
-
-    paths: list[AttackPath] = []
-    if "paths" in raw:
-        if not isinstance(raw["paths"], list):
-            raise ValidationError("paths", "expected an array")
-        seen: set[str] = set()
-        for i, entry in enumerate(raw["paths"]):
-            parsed = _parse_path(entry, i)
-            if parsed.id in seen:
-                raise ValidationError(f"paths[{i}].id", f"duplicate path id {parsed.id!r}")
-            seen.add(parsed.id)
-            paths.append(parsed)
-
-    # The value objects check their own ranges; a rejected field gets its
-    # document path here.
-    try:
-        model = ThreatModel(
-            score_sets=score_sets,
-            vectors=vectors,
-            paths=tuple(paths),
-            config=_parse_config(raw.get("config"), defence, score_sets),
-            weight_table=table,
-        )
-    except InvalidConfigError as exc:
-        raise ValidationError(_CONFIG_PATHS.get(exc.field, "config"), str(exc)) from None
-
-    selected = model.config.score_set
-    if selected == FORMULA_SOURCE:
-        if vectors is None:
-            raise ValidationError("config.score_set", "formula scoring requires vectors")
-    elif selected not in score_sets:
-        raise ValidationError("config.score_set", f"unknown score set {selected!r}")
-    return model
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-def model_to_dict(model: ThreatModel) -> dict[str, Any]:
-    """Document-shaped dict such that ``parse_model(json.dumps(...))`` is identity."""
-    doc: dict[str, Any] = {}
-    if model.score_sets:
-        doc["score_sets"] = {
-            name: {d.code: s.totals[d] for d in ViewDomain}
-            for name, s in model.score_sets.items()
-        }
-    if model.vectors:
-        doc["vectors"] = {d.code: v.to_dict() for d, v in model.vectors.items()}
-    if model.weight_table != DEFAULT_WEIGHT_TABLE:
-        table: dict[str, Any] = {
-            p.lower(): dict(model.weight_table.weights[p]) for p in PARAMETERS if p != "IB"
-        }
-        table["ib"] = {k: list(v) for k, v in model.weight_table.impact_bias.items()}
-        doc["weight_table"] = table
-    cfg = model.config
-    doc["defence"] = {
-        "probability": list(cfg.defence_probability)
-        if isinstance(cfg.defence_probability, tuple)
-        else cfg.defence_probability
-    }
-    values = {key: getattr(cfg, key) for key in _CONFIG_FIELDS}
-    doc["config"] = {k: v.value if isinstance(v, Enum) else v for k, v in values.items()}
-    doc["paths"] = [
-        {
-            "id": p.id,
-            "attacker": p.attacker.value,
-            "origin": p.origin.code if not p.origin_aliases
-            else [o.code for o in p.origins],
-            "first_stage_index": p.first_stage_index,
-            "stages": [
-                {"ref": s.ref_domain.code, "domain": s.view_domain.code, "desc": s.description}
-                for s in p.stages
-            ],
-        }
-        for p in model.paths
-    ]
-    return doc
+    return _DOCUMENT.parse(raw, None)
 
 
 def serialize_model(model: ThreatModel) -> str:
-    """Serialize a model to its JSON document form."""
-    return json.dumps(model_to_dict(model), indent=2) + "\n"
+    """The model's document, which :func:`parse_model` reads back as an equal model."""
+    return json.dumps(_DOCUMENT.dump(model), indent=2) + "\n"

@@ -11,6 +11,7 @@ from .errors import RiskctlError
 from .model import Attacker, AttackPath, ReferenceDomain, ThreatModel, ViewDomain
 from .stages import (
     _chain_rows,
+    _gated,
     realization_probability,
     stage_attack_probabilities,
     stage_forward_probabilities,
@@ -69,7 +70,7 @@ def stage_series(
     """Per-stage plot-ready rows for one path."""
     cfg = config if config is not None else model.config
     raw = stage_attack_probabilities(path, model, cfg)
-    forward = stage_forward_probabilities(path, model, cfg)
+    forward = _gated(raw, cfg)
     return [
         StageSeriesRow(
             path_id=path.id,

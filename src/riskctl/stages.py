@@ -65,19 +65,20 @@ def stage_attack_probabilities(
 ) -> list[float]:
     """Raw (ungated) attack probability per stage of a path.
 
+    Each domain is scored once, in stage order, so a score that cannot
+    be resolved is reported for the first stage that needs it.
+
     Raises:
         EmptyPathError: the path has no stages.
     """
     config = config if config is not None else model.config
     if not path.stages:
         raise EmptyPathError(f"path {path.id!r} has no stages")
-    scores = [
-        resolve_score(model, stage.view_domain, config.score_set, config.rounding)
-        for stage in path.stages
-    ]
+    domains = dict.fromkeys(stage.view_domain for stage in path.stages)
+    scores = {d: resolve_score(model, d, config.score_set, config.rounding) for d in domains}
     return [
-        stage_attack_probability(path.first_stage_index + j, f, config)
-        for j, f in enumerate(scores)
+        stage_attack_probability(path.first_stage_index + j, scores[stage.view_domain], config)
+        for j, stage in enumerate(path.stages)
     ]
 
 
@@ -93,14 +94,17 @@ def stage_forward_probabilities(
     gated, and a single-stage path is never gated.
     """
     config = config if config is not None else model.config
-    m = len(path.stages)
-    probs = []
-    for j, a in enumerate(stage_attack_probabilities(path, model, config), start=1):
-        gated = j >= 2 and (j <= m - 1 or config.defence_on_final_stage)
-        if gated:
-            a *= 1.0 - config.defence_at(j)
-        probs.append(a)
-    return probs
+    return _gated(stage_attack_probabilities(path, model, config), config)
+
+
+def _gated(attack: list[float], config: AnalysisConfig) -> list[float]:
+    """The forward probabilities of :func:`stage_forward_probabilities`,
+    gated from a path's raw stage attack probabilities."""
+    m, final = len(attack), config.defence_on_final_stage
+    return [
+        a * (1.0 - config.defence_at(j)) if j >= 2 and (j <= m - 1 or final) else a
+        for j, a in enumerate(attack, start=1)
+    ]
 
 
 def realization_probability(

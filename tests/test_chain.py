@@ -26,6 +26,7 @@ from riskctl import (
     stage_forward_probabilities,
     validate_stochastic,
 )
+from riskctl import stages
 from riskctl.chain import _first_passage_cdf
 from riskctl.errors import (
     EmptyPathError,
@@ -194,6 +195,17 @@ class TestStageForwardProbabilities:
                           origin=ReferenceDomain.CLOUD, stages=())
         with pytest.raises(EmptyPathError):
             stage_forward_probabilities(path, model)
+
+    def test_each_domain_scored_once_in_stage_order(self, model, monkeypatch):
+        # Path 1 visits networking, software, networking, data.
+        scored = []
+        resolve = stages.resolve_score
+        monkeypatch.setattr(
+            stages, "resolve_score",
+            lambda m, domain, *rest: scored.append(domain) or resolve(m, domain, *rest),
+        )
+        stage_forward_probabilities(model.path("1"), model)
+        assert scored == [ViewDomain.NETWORKING, ViewDomain.SOFTWARE, ViewDomain.DATA]
 
 
 class TestRealizationProbability:

@@ -14,8 +14,8 @@ import pytest
 import riskctl
 from riskctl import (
     builtin_paper_model,
-    model_to_dict,
     realization_probability,
+    serialize_model,
     stage_forward_probabilities,
 )
 from riskctl.cli import main
@@ -318,7 +318,7 @@ class TestVerify:
         assert all(r["passed"] is True for r in results)
 
     def test_perturbed_model_fails(self, capsys, tmp_path):
-        doc = model_to_dict(builtin_paper_model())
+        doc = json.loads(serialize_model(builtin_paper_model()))
         doc["defence"]["probability"] = 0.5
         path = tmp_path / "perturbed.json"
         path.write_text(json.dumps(doc))
@@ -328,7 +328,7 @@ class TestVerify:
         assert "expected" in out
 
     def test_published_total_read_from_model(self, capsys, tmp_path):
-        doc = model_to_dict(builtin_paper_model())
+        doc = json.loads(serialize_model(builtin_paper_model()))
         doc["score_sets"]["paper-published"]["networking"] = 14.25
         path = tmp_path / "published.json"
         path.write_text(json.dumps(doc))
@@ -336,7 +336,7 @@ class TestVerify:
         assert "diverges from published 14.25 (reported, not reconciled)" in out
 
     def test_model_without_published_set(self, capsys, tmp_path):
-        doc = model_to_dict(builtin_paper_model())
+        doc = json.loads(serialize_model(builtin_paper_model()))
         doc["score_sets"]["renamed"] = doc["score_sets"].pop("paper-published")
         doc["config"]["score_set"] = "renamed"
         path = tmp_path / "renamed.json"
@@ -367,7 +367,7 @@ class TestNonFiniteFlags:
 
 class TestStageProbabilityLimits:
     def test_zero_score_with_overflowing_coefficient(self, capsys, tmp_path):
-        doc = model_to_dict(builtin_paper_model())
+        doc = json.loads(serialize_model(builtin_paper_model()))
         doc["score_sets"]["zero"] = dict.fromkeys(("data", "software", "networking", "hardware"), 0)
         path = tmp_path / "zero.json"
         path.write_text(json.dumps(doc))
@@ -385,7 +385,7 @@ class TestStageProbabilityLimits:
         assert [s["attack_prob"] for s in json.loads(out)["stages"]] == [1.0] * 4
 
     def test_report_on_document_with_huge_first_index(self, capsys, tmp_path):
-        doc = model_to_dict(builtin_paper_model())
+        doc = json.loads(serialize_model(builtin_paper_model()))
         doc["paths"][0]["first_stage_index"] = 10**400
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(doc))
@@ -397,7 +397,7 @@ class TestStageProbabilityLimits:
 
 class TestFormulaWithoutVector:
     def test_score_formula_needs_vector(self, capsys, tmp_path):
-        doc = model_to_dict(builtin_paper_model())
+        doc = json.loads(serialize_model(builtin_paper_model()))
         del doc["vectors"]["hardware"]
         path = tmp_path / "partial.json"
         path.write_text(json.dumps(doc))

@@ -15,7 +15,6 @@ from riskctl import (
     ThreatModel,
     ViewDomain,
     builtin_paper_model,
-    model_to_dict,
     paper_model_document,
     parse_model,
     resolve_score,
@@ -215,6 +214,14 @@ class TestParseModel:
         with pytest.raises(ValidationError, match="duplicates"):
             parse_model(json.dumps(doc))
 
+    def test_null_config_rejected(self):
+        # null is not "absent": like every other top-level key, config
+        # must be an object when given.
+        doc = dict(MINIMAL_DOC, config=None)
+        with pytest.raises(ValidationError) as info:
+            parse_model(json.dumps(doc))
+        assert str(info.value) == "config: expected an object, got NoneType"
+
     def test_config_unknown_score_set(self):
         doc = dict(MINIMAL_DOC, config={"score_set": "missing"})
         with pytest.raises(ValidationError, match="score_set"):
@@ -238,7 +245,7 @@ class TestParseModel:
             parse_model(json.dumps(doc))
 
     def test_vector_unknown_label(self, model):
-        doc = model_to_dict(model)
+        doc = json.loads(serialize_model(model))
         doc["vectors"]["data"]["av"] = "Q"
         with pytest.raises(ValidationError) as info:
             parse_model(json.dumps(doc))
@@ -361,7 +368,7 @@ class TestRejectsNonFiniteAndShortDefence:
             assert info.value.field == "data"
 
     def test_short_defence_array(self, model):
-        doc = model_to_dict(model)
+        doc = json.loads(serialize_model(model))
         doc["defence"]["probability"] = [0.1, 0.2]
         with pytest.raises(ValidationError) as info:
             parse_model(json.dumps(doc))

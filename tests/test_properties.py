@@ -15,19 +15,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskctl import (
+    DEFAULT_WEIGHT_TABLE,
     Attacker,
     AttackPath,
     AttackStage,
     MarkovChain,
+    ProbabilityLaw,
     ReferenceDomain,
+    Rounding,
     ScoreSet,
     ThreatModel,
     UnreachableTargetError,
     ViewDomain,
+    WeightTable,
     build_chain,
     builtin_paper_model,
     hit_probability_within,
     mean_time_to_compromise,
+    parse_model,
     serialize_model,
     simulate,
     stage_attack_probabilities,
@@ -128,31 +133,57 @@ class TestGeneratedChains:
 
 @st.composite
 def generated_models(draw):
-    """The built-in model's score sources plus a generated score set,
-    with one path of up to 64 stages, a drawn first stage index, d
-    constant or per stage, and a drawn score source."""
+    """One path of up to 64 stages, with a drawn attacker, origin and
+    origin aliases, first stage index, and d constant or per stage.
+    The score sources are the built-in vectors, the built-in score sets
+    plus a generated one, or both; the vectors are scored with the
+    default weight table or a generated one, and the source, rounding
+    and probability law are drawn."""
     m = draw(st.integers(1, 64))
     stages = tuple(
         AttackStage(draw(st.sampled_from(ReferenceDomain)), draw(st.sampled_from(ViewDomain)),
                     "generated stage")
         for _ in range(m)
     )
-    path = AttackPath(id="g", attacker=Attacker.UNAUTHORIZED, origin=ReferenceDomain.CLOUD,
-                      stages=stages, first_stage_index=draw(st.integers(1, 10)))
+    origins = draw(st.permutations(list(ReferenceDomain)))[: draw(st.integers(1, 3))]
+    path = AttackPath(id="g", attacker=draw(st.sampled_from(Attacker)), origin=origins[0],
+                      stages=stages, first_stage_index=draw(st.integers(1, 10)),
+                      origin_aliases=tuple(origins[1:]))
     unit = st.floats(0.0, 1.0)
     d = draw(st.one_of(unit, st.lists(unit, min_size=m, max_size=m).map(tuple)))
     builtin = builtin_paper_model()
-    generated = ScoreSet("generated", {dom: draw(st.floats(0.0, 42.5)) for dom in ViewDomain})
-    source = draw(st.sampled_from(["formula", "paper-published", "legacy", "generated"]))
+    kind = draw(st.sampled_from(["vectors", "score sets", "both"]))
+    vectors = None if kind == "score sets" else builtin.vectors
+    score_sets = {}
+    if kind != "vectors":
+        generated = ScoreSet("generated", {dom: draw(st.floats(0.0, 42.5)) for dom in ViewDomain})
+        score_sets = {**builtin.score_sets, "generated": generated}
+    table = DEFAULT_WEIGHT_TABLE
+    if vectors is not None and draw(st.booleans()):
+        table = WeightTable(
+            weights={p: {label: draw(unit) for label in labels}
+                     for p, labels in DEFAULT_WEIGHT_TABLE.weights.items()},
+            impact_bias={label: (draw(unit), draw(unit), draw(unit))
+                         for label in DEFAULT_WEIGHT_TABLE.impact_bias},
+        )
+    source = draw(st.sampled_from(["formula"] * (vectors is not None) + list(score_sets)))
     return ThreatModel(
-        score_sets={**builtin.score_sets, "generated": generated},
-        vectors=builtin.vectors,
+        score_sets=score_sets,
+        vectors=vectors,
         paths=(path,),
-        config=replace(builtin.config, defence_probability=d, score_set=source),
+        config=replace(builtin.config, defence_probability=d, score_set=source,
+                       rounding=draw(st.sampled_from(Rounding)),
+                       probability_law=draw(st.sampled_from(ProbabilityLaw))),
+        weight_table=table,
     )
 
 
 class TestGeneratedModels:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(model=generated_models())
+    def test_document_round_trip(self, model):
+        assert parse_model(serialize_model(model)) == model
+
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(model=generated_models())
     def test_chain_rows(self, model):
