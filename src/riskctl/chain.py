@@ -2,15 +2,9 @@
 
 ``MarkovChain`` holds a path's birth-death chain over the compromise
 states S_0 .. S_m as a dense matrix, built from the row formulas in
-``stages.py`` and refusing any entry off their three diagonals.
-First-passage analytics (expected steps, hitting probability within a
-horizon) pin S_m absorbing, and a seeded Monte Carlo simulator
-cross-checks them.
-
-All walks are independent copies of one chain, so the simulator steps
-the number of live walks in each transient state instead of each walk:
-one multinomial draw per state per step, from one Philox stream keyed
-by the seed.  A run costs O(horizon * m), whatever the trial count.
+``stages.py`` and refusing any entry off their three diagonals.  The
+first-passage analytics and the seeded Monte Carlo simulator that
+cross-checks them read it through ``_moves`` and step it with ``_step``.
 """
 
 from __future__ import annotations
@@ -63,7 +57,7 @@ class MarkovChain:
 
     def forward_probabilities(self) -> np.ndarray:
         """Super-diagonal entries: the forward edge out of each state."""
-        return np.diag(self.matrix, k=1).copy()
+        return _moves(self)[:, 0].copy()
 
 
 @dataclass
@@ -121,6 +115,27 @@ def validate_stochastic(chain: MarkovChain, tol: float = 1e-12) -> list[str]:
 # First-passage analytics
 # ---------------------------------------------------------------------------
 
+def _moves(chain: MarkovChain) -> np.ndarray:
+    """One (forward, back, stay) row of move probabilities per transient
+    state, back_0 = 0; the target's row is never read, which pins it
+    absorbing.  Stay comes last: ``multinomial`` draws the last category
+    as the remainder, and the forward moves set the hit times."""
+    back = np.append(0.0, np.diag(chain.matrix, k=-1))[:-1]
+    return np.column_stack((np.diag(chain.matrix, k=1), back, np.diag(chain.matrix)[:-1]))
+
+
+def _step(moves: np.ndarray) -> tuple[np.ndarray, float | int]:
+    """(live, arrived) one step on, from ``moves[j]``: the walks that
+    leave S_j forward, back and stay, as counts or expected shares.
+    ``live[j]`` adds the stay moves of S_j, the forward moves out of
+    S_{j-1}, then the back moves out of S_{j+1}: a dense product's row
+    order.  ``arrived`` is the forward moves out of S_{m-1}."""
+    live = moves[:, 2].copy()
+    live[1:] += moves[:-1, 0]
+    live[:-1] += moves[1:, 1]
+    return live, moves[-1, 0]
+
+
 def mean_time_to_compromise(chain: MarkovChain) -> float:
     """Expected steps from S_0 until first arrival at the target state.
 
@@ -133,15 +148,13 @@ def mean_time_to_compromise(chain: MarkovChain) -> float:
         UnreachableTargetError: some forward probability is zero.
         NumericalError: the sum overflows (a tiny forward probability).
     """
-    forward = chain.forward_probabilities().tolist()
-    back = [0.0] + np.diag(chain.matrix, k=-1).tolist()
     e = total = 0.0
-    for j, f in enumerate(forward):
+    for j, (f, b, _) in enumerate(_moves(chain).tolist()):
         if f <= 0.0:
             raise UnreachableTargetError(
                 f"forward probability out of state {chain.states[j]} is zero"
             )
-        e = (1.0 + back[j] * e) / f
+        e = (1.0 + b * e) / f
         total += e
     if not math.isfinite(total):
         raise NumericalError(f"mean time to compromise overflows: {total!r}")
@@ -150,18 +163,18 @@ def mean_time_to_compromise(chain: MarkovChain) -> float:
 
 def _first_passage_cdf(chain: MarkovChain, horizon: int) -> np.ndarray:
     """F(0..horizon): F(t) is the probability that a walk from S_0 first
-    reaches the target within t steps, with the target pinned absorbing."""
-    target = chain.target
-    matrix = np.array(chain.matrix, dtype=float)
-    matrix[target] = np.eye(target + 1)[target]
-    dist = np.eye(target + 1)[0]
+    reaches the target within t steps: ``_step``'s arrivals, summed."""
+    rows = _moves(chain)
+    live = np.zeros(len(rows))
+    live[0] = 1.0
     cdf = np.zeros(horizon + 1)
     for step in range(1, horizon + 1):
-        dist, last = dist @ matrix, dist
-        if dist.tobytes() == last.tobytes():  # a fixed point: no later step moves
-            cdf[step:] = dist[target]
+        new, arrived = _step(live[:, None] * rows)
+        hit = cdf[step - 1] + arrived
+        if hit == cdf[step - 1] and new.tobytes() == live.tobytes():  # no later step moves
+            cdf[step:] = hit
             break
-        cdf[step] = dist[target]
+        live, cdf[step] = new, hit
     return cdf
 
 
@@ -172,11 +185,13 @@ def _hit_within(chain: MarkovChain, horizon: int) -> tuple[float, float | None]:
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     cdf = _first_passage_cdf(chain, horizon)
-    # Iterated products can drift a few ulp past the unit interval.
+    # Summed arrivals can drift a few ulp past the unit interval.
     hit = min(max(float(cdf[-1]), 0.0), 1.0)
     if cdf[-1] <= 0.0:
         return hit, None
-    return hit, float(np.arange(horizon + 1) @ np.diff(cdf, prepend=0.0) / cdf[-1])
+    pmf = np.diff(cdf, prepend=0.0)
+    t = np.flatnonzero(pmf)
+    return hit, math.fsum((t * pmf[t]).tolist()) / float(cdf[-1])
 
 
 def hit_probability_within(chain: MarkovChain, horizon: int) -> float:
@@ -232,16 +247,11 @@ def simulate(
 ) -> SimulationReport:
     """Run independent first-passage walks from S_0.
 
-    The run steps ``live[j]``, the number of walks in transient state
-    S_j, starting from ``live[0] = trials``.  At each step, one Philox
-    stream keyed by ``SeedSequence(seed)`` draws
-    ``multinomial(live[j], (fwd_j, back_j, stay_j))`` for j = 0 .. m-1
-    in that order, with the chain's forward, back and stay
-    probabilities (back_0 = 0); the stay count is the remainder.  The
-    moves shift to the neighbouring states, and the forward moves out
-    of S_{m-1} are the walks that hit at that step.  The run stops when
-    no walk is live or at the horizon.  Its cost grows with
-    horizon * m, not with ``trials``; the hit times come out ascending.
+    Each step draws the walks that leave S_0 .. S_{m-1}, in that order,
+    as ``multinomial(live[j], _moves(chain)[j])`` from one Philox stream
+    keyed by ``SeedSequence(seed)``, and moves them with ``_step``.  A
+    run stops when every walk has hit or at the horizon, so it costs
+    O(horizon * m) whatever ``trials``; the hit times come out ascending.
 
     ``workers`` is accepted for compatibility and has no effect on the
     results or the speed; no thread is started.
@@ -260,25 +270,15 @@ def simulate(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
-    target = chain.target
-    matrix = np.asarray(chain.matrix, dtype=float)
-    back = np.append(0.0, np.diag(matrix, k=-1)[:-1])
-    # multinomial takes the last category as the remainder, so the stay
-    # count is what is left; the forward moves, which set the hit times,
-    # are drawn first with the stored forward probability itself.
-    rows = np.column_stack((np.diag(matrix, k=1), back, np.diag(matrix)[:target]))
+    rows = _moves(chain)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    live = np.zeros(target, dtype=np.int64)
+    live = np.zeros(len(rows), dtype=np.int64)
     live[0] = trials
     arrivals = np.zeros(horizon + 1, dtype=np.int64)
     hits = 0
     for step in range(1, horizon + 1):
-        moves = rng.multinomial(live, rows)
-        live = moves[:, 2]
-        live[:-1] += moves[1:, 1]
-        live[1:] += moves[:-1, 0]
-        arrivals[step] = moves[-1, 0]
-        hits += int(moves[-1, 0])
+        live, arrivals[step] = _step(rng.multinomial(live, rows))
+        hits += int(arrivals[step])
         if hits == trials:
             break
 

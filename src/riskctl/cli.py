@@ -109,6 +109,8 @@ def _effective_config(model: ThreatModel, args) -> AnalysisConfig:
 def _first_index(path: AttackPath, args) -> AttackPath:
     if args.first_index is None:
         return path
+    if args.first_index < 1:
+        raise ValueError(f"--first-index must be >= 1, got {args.first_index}")
     return replace(path, first_stage_index=args.first_index)
 
 

@@ -27,7 +27,7 @@ from riskctl import (
     validate_stochastic,
 )
 from riskctl import stages
-from riskctl.chain import _first_passage_cdf
+from riskctl.chain import _first_passage_cdf, _moves, _step
 from riskctl.errors import (
     EmptyPathError,
     InvalidConfigError,
@@ -432,19 +432,29 @@ class TestHitProbabilityWithin:
 
     @pytest.mark.parametrize("d", [0.0, 0.1, 0.3, 0.5])
     def test_early_stop_matches_every_step(self, model, d):
-        # The reference takes all h steps; h = 6000 lies past the fixed
-        # point of every built-in path, where the loop stops early.
+        # The reference takes all h steps of the same transition step;
+        # h = 6000 lies past the fixed point of every built-in path,
+        # where the loop stops early.
         horizon = 6000
         config = replace(model.config, defence_probability=d)
         for path in model.paths:
             chain = build_chain(path, model, config)
-            matrix = chain.matrix.copy()
-            matrix[-1] = 0.0
-            matrix[-1, -1] = 1.0
-            dist = np.eye(len(matrix))[0]
+            rows = _moves(chain)
+            live = np.zeros(len(rows))
+            live[0] = 1.0
             reference = np.zeros(horizon + 1)
             for step in range(1, horizon + 1):
-                dist = dist @ matrix
-                reference[step] = dist[-1]
-            assert np.array_equal(dist @ matrix, dist)
+                live, arrived = _step(live[:, None] * rows)
+                reference[step] = reference[step - 1] + arrived
+            after, arrived = _step(live[:, None] * rows)
+            assert np.array_equal(after, live) and reference[-1] + arrived == reference[-1]
             assert np.array_equal(_first_passage_cdf(chain, horizon), reference)
+
+    def test_step_adds_stay_then_forward_then_back(self):
+        # 1 + u rounds to 1, and 1 + 2u + u to 1 + 4u: only this order
+        # gives 1 + 2u in the middle state.
+        u = 2.0**-53
+        moves = np.array([[u, 0.0, 0.5], [0.5, 0.25, 1.0], [0.0625, 2 * u, 0.125]])
+        live, arrived = _step(moves)
+        assert live.tolist() == [0.75, 1.0 + 2 * u, 0.625]
+        assert arrived == 0.0625

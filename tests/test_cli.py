@@ -50,6 +50,15 @@ class TestScore:
         assert "5.9" in out
         assert "diverges" in out and "14.5" in out
 
+    def test_formula_source_has_no_reference_set(self, capsys):
+        # With the formula as the config's score set, no named set is
+        # there to compare the formula totals against.
+        code, out, _ = run(capsys, "score", "--score-set", "formula", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["notes"] == []
+        assert all(e["total"] == e["formula_total"] for e in payload["scores"])
+
     def test_unknown_domain(self, capsys):
         code, _, err = run(capsys, "score", "--domain", "engine")
         assert code == 1
@@ -210,6 +219,21 @@ class TestSimulate:
             assert f"{key}: -" in lines
         assert "'-'" not in out
 
+    def test_unreachable_target_prints_nulls(self, capsys, tmp_path):
+        # A zero score makes a stage's attack probability 0: no walk can
+        # reach the target, so there is no mean TTC to print.
+        doc = json.loads(serialize_model(builtin_paper_model()))
+        doc["score_sets"]["zero"] = dict.fromkeys(("data", "software", "networking", "hardware"), 0)
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "simulate", "--model", str(path), "--id", "1",
+                             "--score-set", "zero", "--horizon", "50", "--format", "json")
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["hits"] == 0 and payload["analytic_hit_probability"] == 0.0
+        for key in ("mean_ttc", "analytic_mean_ttc", "analytic_mean_ttc_within", "z_ttc"):
+            assert payload[key] is None
+
     def test_zero_trials(self, capsys):
         code, _, err = run(capsys, "simulate", "--id", "1", "--trials", "0")
         assert code == 1
@@ -345,6 +369,46 @@ class TestVerify:
         assert code == 0
         assert out.splitlines()[0] == "PASS cvss-columns: all four columns reproduced"
 
+    @pytest.mark.parametrize(
+        "change, failures",
+        [
+            (lambda doc: doc.pop("vectors"),
+             ["FAIL cvss-columns: model has no vectors to score"]),
+            (lambda doc: doc["vectors"].pop("hardware"),
+             ["FAIL cvss-columns: hardware: no vector"]),
+            (lambda doc: doc["paths"][0]["stages"].pop(),
+             ["FAIL stage-probabilities-id1: expected 4 stages, got 3",
+              "FAIL results-grid: unauthorized/cloud path 1: expected 20.01%, got 23.06%"]),
+            (lambda doc: doc.update(paths=[p for p in doc["paths"] if p["id"] != "1"]),
+             ["FAIL stage-probabilities-id1: no path with id '1'",
+              "FAIL results-grid: unauthorized/cloud: path 1 missing"]),
+            (lambda doc: next(p for p in doc["paths"] if p["id"] == "3")["stages"].pop(),
+             ["FAIL results-grid: unauthorized/vehicle path 3: expected 24.30%, got 29.42%",
+              "FAIL legacy-matrix: matrix shape (3, 3), expected 4x4"]),
+            (lambda doc: doc["score_sets"].pop("legacy"),
+             ["FAIL legacy-matrix: no score set named 'legacy'"]),
+        ],
+        ids=["no-vectors", "no-hardware-vector", "path-1-three-stages", "no-path-1",
+             "path-3-two-stages", "no-legacy-set"],
+    )
+    def test_document_faults_fail_their_checks(self, capsys, tmp_path, change, failures):
+        doc = json.loads(serialize_model(builtin_paper_model()))
+        change(doc)
+        path = tmp_path / "changed.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", "--model", str(path))
+        assert code == 2
+        assert [l for l in out.splitlines() if l.startswith("FAIL")] == failures
+
+    def test_config_flag_applies_to_the_checks(self, capsys):
+        code, out, _ = run(capsys, "verify", "--d", "0.5")
+        assert code == 2
+        assert [l.split(":")[0] for l in out.splitlines() if l.startswith("FAIL")] == [
+            "FAIL stage-probabilities-id1", "FAIL results-grid", "FAIL legacy-matrix",
+        ]
+        assert ("FAIL stage-probabilities-id1: expected (0.4946, 0.53541, 0.78381, 0.9643), "
+                "got (0.49457, 0.29743, 0.43544, 0.96427)") in out.splitlines()
+
     def test_missing_model_file(self, capsys):
         code, _, err = run(capsys, "verify", "--model", "/nonexistent/model.json")
         assert code == 1
@@ -427,6 +491,15 @@ class TestClosedStdout:
             os.close(write_end)
         assert result.stderr == ""
         assert result.returncode == 1
+
+
+class TestFirstIndexFlag:
+    @pytest.mark.parametrize("argv", [["path", "--id", "1"], ["matrix", "--id", "1"],
+                                      ["simulate", "--id", "1"], ["report"]])
+    def test_below_one_names_the_flag(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--first-index", "0")
+        assert code == 1 and out == ""
+        assert err == "riskctl: error: --first-index must be >= 1, got 0\n"
 
 
 class TestUsageErrors:

@@ -57,6 +57,20 @@ def birth_death_chain(attack, d):
     return MarkovChain(states=tuple(f"S{j}" for j in range(m + 1)), matrix=matrix)
 
 
+def dense_first_passage_cdf(chain, horizon):
+    """F(0..horizon) from the dense product: the distribution times the
+    whole matrix, the target's row pinned absorbing, at every step."""
+    matrix = chain.matrix.copy()
+    matrix[-1] = 0.0
+    matrix[-1, -1] = 1.0
+    dist = np.eye(len(matrix))[0]
+    cdf = np.zeros(horizon + 1)
+    for step in range(1, horizon + 1):
+        dist = dist @ matrix
+        cdf[step] = dist[-1]
+    return cdf
+
+
 def dense_solve_ttc(matrix):
     """t_0 of (I - Q) t = 1, Q the transient block of ``matrix``: the
     dense first-passage system, solved by Gaussian elimination in exact
@@ -129,6 +143,33 @@ class TestGeneratedChains:
         assert cdf[0] == 0.0 and np.all(np.diff(cdf) >= 0.0)
         assert cdf[-1] <= 1.0 + 1e-12
         assert 0.0 <= hit_probability_within(chain, horizon) == min(cdf[-1], 1.0) <= 1.0
+
+
+class TestDenseReference:
+    """The first-passage CDF against the dense product, whose bits vary
+    with the BLAS kernel.  Each loop rounds each entry at most three
+    times per step, and a stochastic matrix does not amplify earlier
+    errors, so at step t the two differ by at most 6 * t * 2**-53, below
+    1e-15 * t.  On the built-in paths the gap stays below 1e-15."""
+
+    @pytest.mark.parametrize("d", [0.0, 0.1, 0.3, 0.5])
+    def test_built_in_paths(self, model, d):
+        config = replace(model.config, defence_probability=d)
+        for path in model.paths:
+            chain = build_chain(path, model, config)
+            gap = _first_passage_cdf(chain, 1000) - dense_first_passage_cdf(chain, 1000)
+            assert np.all(np.abs(gap) <= 1e-15)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        attack=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=64),
+        d=st.floats(0.0, 0.5),
+        horizon=st.integers(1, 400),
+    )
+    def test_generated_paths(self, attack, d, horizon):
+        chain = birth_death_chain(attack, d)
+        gap = _first_passage_cdf(chain, horizon) - dense_first_passage_cdf(chain, horizon)
+        assert np.all(np.abs(gap) <= 1e-15 * np.arange(horizon + 1))
 
 
 @st.composite
