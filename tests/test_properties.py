@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import random
 import tempfile
 from contextlib import redirect_stdout
 from dataclasses import replace
@@ -68,6 +69,33 @@ def dense_first_passage_cdf(chain, horizon):
     for step in range(1, horizon + 1):
         dist = dist @ matrix
         cdf[step] = dist[-1]
+    return cdf
+
+
+def full_cdf(chain, horizon):
+    """F(0..horizon) as a list: ``_first_passage_cdf`` held at its last
+    value past the fixed point where it stops."""
+    cdf = list(_first_passage_cdf(chain, horizon))
+    return cdf + cdf[-1:] * (horizon + 1 - len(cdf))
+
+
+def rowwise_first_passage_cdf(chain, horizon):
+    """F(0..horizon) from a plain-Python dense product taken row by row:
+    row j of the matrix, weighted by the mass in S_j, is added to the
+    next distribution for j = 0, 1, ..., the target's row pinned
+    absorbing.  Python rounds every product and every sum on its own,
+    so no fused multiply-add enters."""
+    matrix = chain.matrix.tolist()
+    n = len(matrix)
+    matrix[-1] = [0.0] * (n - 1) + [1.0]
+    dist = [1.0] + [0.0] * (n - 1)
+    cdf = [0.0]
+    for _ in range(horizon):
+        new = [0.0] * n
+        for mass, row in zip(dist, matrix):
+            new = [x + mass * p for x, p in zip(new, row)]
+        dist = new
+        cdf.append(dist[-1])
     return cdf
 
 
@@ -170,6 +198,30 @@ class TestDenseReference:
         chain = birth_death_chain(attack, d)
         gap = _first_passage_cdf(chain, horizon) - dense_first_passage_cdf(chain, horizon)
         assert np.all(np.abs(gap) <= 1e-15 * np.arange(horizon + 1))
+
+
+class TestRowwiseReference:
+    """The first-passage CDF equals the row-by-row dense product bit for
+    bit: each state's next mass adds its stay, forward and back inflows
+    in the order of the rows, and adding an exact zero changes no bit."""
+
+    @pytest.mark.parametrize("horizon", [8, 200, 1000])
+    @pytest.mark.parametrize("d", [0.0, 0.1, 0.3, 0.5])
+    def test_built_in_paths(self, model, d, horizon):
+        config = replace(model.config, defence_probability=d)
+        for path in model.paths:
+            chain = build_chain(path, model, config)
+            expected = rowwise_first_passage_cdf(chain, horizon)
+            assert list(map(float.hex, full_cdf(chain, horizon))) == list(map(float.hex, expected))
+
+    @pytest.mark.parametrize("m", range(2, 65, 2))
+    def test_generated_paths(self, m):
+        # One chain of m stages per case, with a horizon of 8, 200 or 1000.
+        rng = random.Random(m)
+        chain = birth_death_chain([rng.uniform(0.01, 1.0) for _ in range(m)], rng.uniform(0.0, 0.5))
+        horizon = (8, 200, 1000)[m // 2 % 3]
+        expected = rowwise_first_passage_cdf(chain, horizon)
+        assert list(map(float.hex, full_cdf(chain, horizon))) == list(map(float.hex, expected))
 
 
 @st.composite
