@@ -65,16 +65,12 @@ from .stages import (
     stage_forward_probabilities,
 )
 
-# The chain names need numpy, so they load on first access (PEP 562):
-# a process that uses none of them never imports it.
-_CHAIN_NAMES = frozenset({
-    "MarkovChain", "SimulationReport", "build_chain", "hit_probability_within",
-    "mean_time_to_compromise", "simulate", "validate_stochastic",
-})
-
 
 def __getattr__(name):
-    if name in _CHAIN_NAMES:
+    # The public names not bound above are the chain's, which need numpy,
+    # so they load on first access (PEP 562): a process that uses none of
+    # them never imports it.
+    if name in __all__:
         from . import chain
 
         return getattr(chain, name)

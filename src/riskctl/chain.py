@@ -1,10 +1,12 @@
 """Attack-propagation analytics: Markov chains and TTC.
 
-``MarkovChain`` holds a path's birth-death chain over the compromise
-states S_0 .. S_m as a dense matrix, built from the row formulas in
-``stages.py`` and refusing any entry off their three diagonals.  The
-first-passage analytics and the seeded Monte Carlo simulator that
-cross-checks them read it through ``_moves`` and step it with ``_step``.
+``MarkovChain`` stores a path's birth-death chain over the compromise
+states S_0 .. S_m as a dense numpy matrix, built from the row formulas
+in ``stages.py`` and refusing any entry off their three diagonals.
+``_moves`` reads its diagonals once as plain floats and ``_step`` moves
+walks one step: the first-passage analytics step the expected moves,
+the seeded Monte Carlo simulator that cross-checks them its multinomial
+draws.  numpy is left for the stored matrix, the draws and ``ttc_samples``.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ class MarkovChain:
         matrix = np.asarray(self.matrix, dtype=float)
         if matrix.ndim != 2 or not np.isfinite(matrix).all():
             raise NumericalError("transition matrix must be a 2-D array of finite entries")
+        if len(matrix) < 2:
+            raise NumericalError("transition matrix needs two rows: a start state and a target")
         far = np.argwhere(np.triu(matrix, 2) + np.tril(matrix, -2))
         if far.size:
             i, j = far[0].tolist()
@@ -57,7 +61,7 @@ class MarkovChain:
 
     def forward_probabilities(self) -> np.ndarray:
         """Super-diagonal entries: the forward edge out of each state."""
-        return _moves(self)[:, 0].copy()
+        return np.array([forward for forward, _, _ in _moves(self)])
 
 
 @dataclass
@@ -115,25 +119,25 @@ def validate_stochastic(chain: MarkovChain, tol: float = 1e-12) -> list[str]:
 # First-passage analytics
 # ---------------------------------------------------------------------------
 
-def _moves(chain: MarkovChain) -> np.ndarray:
+def _moves(chain: MarkovChain) -> list[tuple[float, float, float]]:
     """One (forward, back, stay) row of move probabilities per transient
     state, back_0 = 0; the target's row is never read, which pins it
     absorbing.  Stay comes last: ``multinomial`` draws the last category
     as the remainder, and the forward moves set the hit times."""
-    back = np.append(0.0, np.diag(chain.matrix, k=-1))[:-1]
-    return np.column_stack((np.diag(chain.matrix, k=1), back, np.diag(chain.matrix)[:-1]))
+    rows = chain.matrix.tolist()
+    return [(row[j + 1], row[j - 1] if j else 0.0, row[j]) for j, row in enumerate(rows[:-1])]
 
 
-def _step(moves: np.ndarray) -> tuple[np.ndarray, float | int]:
+def _step(moves: list) -> tuple[list, float | int]:
     """(live, arrived) one step on, from ``moves[j]``: the walks that
-    leave S_j forward, back and stay, as counts or expected shares.
-    ``live[j]`` adds the stay moves of S_j, the forward moves out of
-    S_{j-1}, then the back moves out of S_{j+1}: a dense product's row
-    order.  ``arrived`` is the forward moves out of S_{m-1}."""
-    live = moves[:, 2].copy()
-    live[1:] += moves[:-1, 0]
-    live[:-1] += moves[1:, 1]
-    return live, moves[-1, 0]
+    leave S_j forward, back and stay, as integer counts or expected
+    shares.  ``live[j]`` adds the stay moves of S_j, the forward moves
+    out of S_{j-1}, then the back moves out of S_{j+1}: a dense
+    product's row order.  ``arrived`` is the forward moves out of
+    S_{m-1}."""
+    forward, back, stay = zip(*moves)
+    inflow = zip(stay, (0,) + forward[:-1], back[1:] + (0,))
+    return [s + f + b for s, f, b in inflow], forward[-1]
 
 
 def mean_time_to_compromise(chain: MarkovChain) -> float:
@@ -149,7 +153,7 @@ def mean_time_to_compromise(chain: MarkovChain) -> float:
         NumericalError: the sum overflows (a tiny forward probability).
     """
     e = total = 0.0
-    for j, (f, b, _) in enumerate(_moves(chain).tolist()):
+    for j, (f, b, _) in enumerate(_moves(chain)):
         if f <= 0.0:
             raise UnreachableTargetError(
                 f"forward probability out of state {chain.states[j]} is zero"
@@ -161,20 +165,20 @@ def mean_time_to_compromise(chain: MarkovChain) -> float:
     return total
 
 
-def _first_passage_cdf(chain: MarkovChain, horizon: int) -> np.ndarray:
-    """F(0..horizon): F(t) is the probability that a walk from S_0 first
-    reaches the target within t steps: ``_step``'s arrivals, summed."""
+def _first_passage_cdf(chain: MarkovChain, horizon: int) -> list[float]:
+    """F(0), F(1), ... up to F(horizon) or F's fixed point, whichever
+    comes first; F(t) past the end is the last entry.  F(t) is the
+    probability that a walk from S_0 first reaches the target within t
+    steps: ``_step``'s arrivals, summed."""
     rows = _moves(chain)
-    live = np.zeros(len(rows))
-    live[0] = 1.0
-    cdf = np.zeros(horizon + 1)
-    for step in range(1, horizon + 1):
-        new, arrived = _step(live[:, None] * rows)
-        hit = cdf[step - 1] + arrived
-        if hit == cdf[step - 1] and new.tobytes() == live.tobytes():  # no later step moves
-            cdf[step:] = hit
+    live = [1.0] + [0.0] * (len(rows) - 1)
+    cdf = [0.0]
+    for _ in range(horizon):
+        new, arrived = _step([(p * f, p * b, p * s) for p, (f, b, s) in zip(live, rows)])
+        if cdf[-1] + arrived == cdf[-1] and new == live:  # no later step moves
             break
-        live, cdf[step] = new, hit
+        live = new
+        cdf.append(cdf[-1] + arrived)
     return cdf
 
 
@@ -186,12 +190,10 @@ def _hit_within(chain: MarkovChain, horizon: int) -> tuple[float, float | None]:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     cdf = _first_passage_cdf(chain, horizon)
     # Summed arrivals can drift a few ulp past the unit interval.
-    hit = min(max(float(cdf[-1]), 0.0), 1.0)
+    hit = min(max(cdf[-1], 0.0), 1.0)
     if cdf[-1] <= 0.0:
         return hit, None
-    pmf = np.diff(cdf, prepend=0.0)
-    t = np.flatnonzero(pmf)
-    return hit, math.fsum((t * pmf[t]).tolist()) / float(cdf[-1])
+    return hit, math.fsum(t * (b - a) for t, (a, b) in enumerate(zip(cdf, cdf[1:]), 1)) / cdf[-1]
 
 
 def hit_probability_within(chain: MarkovChain, horizon: int) -> float:
@@ -205,7 +207,7 @@ def hit_probability_within(chain: MarkovChain, horizon: int) -> float:
 # ---------------------------------------------------------------------------
 
 def _percentile(times: list[int], cumulative: list[int], q: int) -> float:
-    """``np.percentile(samples, q)`` (linear method) with numpy's own
+    """``numpy.percentile(samples, q)`` (linear method) with numpy's own
     float arithmetic, where the ascending samples hold ``times[i]``
     up to rank ``cumulative[i]``."""
     n = cumulative[-1]
@@ -217,7 +219,7 @@ def _percentile(times: list[int], cumulative: list[int], q: int) -> float:
     return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
-def _hit_time_stats(arrivals: np.ndarray) -> tuple[float, float, float, float, float]:
+def _hit_time_stats(arrivals: list[int]) -> tuple[float, float, float, float, float]:
     """(mean, standard error of the mean, p50, p90, p99) of the hit
     times, ``arrivals[t]`` of them equal to t; at least one hit.
 
@@ -225,8 +227,8 @@ def _hit_time_stats(arrivals: np.ndarray) -> tuple[float, float, float, float, f
     standard error is ``std / sqrt(hits)`` with the correctly rounded
     standard deviation, within a few ulp of numpy's.
     """
-    times = np.flatnonzero(arrivals).tolist()
-    counts = arrivals[times].tolist()
+    times = [t for t, count in enumerate(arrivals) if count]
+    counts = [arrivals[t] for t in times]
     hits = sum(counts)
     total = sum(t * c for t, c in zip(times, counts))
     squares = sum(t * t * c for t, c in zip(times, counts))
@@ -272,12 +274,11 @@ def simulate(
 
     rows = _moves(chain)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    live = np.zeros(len(rows), dtype=np.int64)
-    live[0] = trials
+    live = [trials] + [0] * (len(rows) - 1)
     arrivals = np.zeros(horizon + 1, dtype=np.int64)
     hits = 0
     for step in range(1, horizon + 1):
-        live, arrivals[step] = _step(rng.multinomial(live, rows))
+        live, arrivals[step] = _step(rng.multinomial(live, rows).tolist())
         hits += int(arrivals[step])
         if hits == trials:
             break
@@ -290,7 +291,7 @@ def simulate(
         ) from exc
     hit_fraction = hits / trials
     if hits:
-        mean_ttc, mean_ttc_se, p50, p90, p99 = _hit_time_stats(arrivals)
+        mean_ttc, mean_ttc_se, p50, p90, p99 = _hit_time_stats(arrivals[: step + 1].tolist())
     else:
         mean_ttc = mean_ttc_se = p50 = p90 = p99 = None
     return SimulationReport(

@@ -23,7 +23,6 @@ from .cvss import score_breakdown
 from .errors import RiskctlError, UnreachableTargetError
 from .model import (
     Attacker,
-    AttackPath,
     ReferenceDomain,
     ThreatModel,
     ViewDomain,
@@ -106,12 +105,15 @@ def _effective_config(model: ThreatModel, args) -> AnalysisConfig:
     return replace(model.config, **changes) if changes else model.config
 
 
-def _first_index(path: AttackPath, args) -> AttackPath:
-    if args.first_index is None:
-        return path
-    if args.first_index < 1:
-        raise ValueError(f"--first-index must be >= 1, got {args.first_index}")
-    return replace(path, first_stage_index=args.first_index)
+def _first_index(model: ThreatModel, args) -> ThreatModel:
+    """``model`` with ``--first-index`` (path, matrix, simulate and
+    report only) set on every path; checked even when there is none."""
+    index = getattr(args, "first_index", None)
+    if index is None:
+        return model
+    if index < 1:
+        raise ValueError(f"--first-index must be >= 1, got {index}")
+    return replace(model, paths=tuple(replace(p, first_stage_index=index) for p in model.paths))
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +186,7 @@ def _series_rows(rows) -> list[list]:
 
 
 def _cmd_path(args, model: ThreatModel, config: AnalysisConfig) -> int:
-    path = _first_index(model.path(args.id), args)
+    path = model.path(args.id)
     rows = stage_series(path, model, config)
     series = _series_rows(rows)
     w = math.prod(row.forward_prob for row in rows)  # realization_probability, from the rows
@@ -214,7 +216,7 @@ def _cmd_path(args, model: ThreatModel, config: AnalysisConfig) -> int:
 def _cmd_matrix(args, model: ThreatModel, config: AnalysisConfig) -> int:
     if args.round is not None and args.round < 0:
         raise ValueError(f"--round must be >= 0, got {args.round}")
-    path = _first_index(model.path(args.id), args)
+    path = model.path(args.id)
     states, matrix, stage_probs = _chain_rows(path, model, config)
     violations = _stochastic_violations(states, matrix)
     if violations:
@@ -255,7 +257,7 @@ def _z_score(simulated, analytic, se) -> float | None:
 def _cmd_simulate(args, model: ThreatModel, config: AnalysisConfig) -> int:
     from .chain import _hit_within, build_chain, mean_time_to_compromise, simulate
 
-    path = _first_index(model.path(args.id), args)
+    path = model.path(args.id)
     chain = build_chain(path, model, config)
     report = simulate(chain, trials=args.trials, horizon=args.horizon,
                       seed=args.seed, workers=args.workers)
@@ -300,7 +302,6 @@ def _grid_cell_text(cells) -> str:
 
 
 def _cmd_report(args, model: ThreatModel, config: AnalysisConfig) -> int:
-    model = replace(model, paths=tuple(_first_index(p, args) for p in model.paths))
     grid = build_results_grid(model, config)
     cells = [
         (attacker, origin, grid.get((attacker, origin), []))
@@ -394,8 +395,10 @@ def _build_parser() -> _Parser:
     common.add_argument("--defence-on-final", dest="defence_on_final_stage",
                         action="store_true", default=None,
                         help="gate the final stage by (1 - d) as well")
-    common.add_argument("--first-index", dest="first_index", type=int, metavar="N",
-                        help="override the first stage index")
+
+    indexed = _Parser(add_help=False)  # the commands that build a path's stages
+    indexed.add_argument("--first-index", dest="first_index", type=int, metavar="N",
+                         help="override the first stage index")
 
     parser = _Parser(prog="riskctl",
                      description="Quantitative attack-path security verification.")
@@ -409,19 +412,19 @@ def _build_parser() -> _Parser:
                    help="total column source: named set or 'formula' (default: config)")
     p.set_defaults(func=_cmd_score)
 
-    p = sub.add_parser("path", parents=[common],
+    p = sub.add_parser("path", parents=[common, indexed],
                        help="stage probabilities and realization probability for a path")
     p.add_argument("--id", required=True, help="attack path id")
     p.set_defaults(func=_cmd_path)
 
-    p = sub.add_parser("matrix", parents=[common],
+    p = sub.add_parser("matrix", parents=[common, indexed],
                        help="transition matrix for a path's chain")
     p.add_argument("--id", required=True, help="attack path id")
     p.add_argument("--round", type=int, metavar="N",
                    help="round displayed entries to N decimals (table format only)")
     p.set_defaults(func=_cmd_matrix)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[common, indexed],
                        help="seeded Monte Carlo first-passage simulation")
     p.add_argument("--id", required=True, help="attack path id")
     p.add_argument("--trials", type=int, default=10000)
@@ -432,7 +435,7 @@ def _build_parser() -> _Parser:
                         "or speed, and no thread is started")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("report", parents=[common],
+    p = sub.add_parser("report", parents=[common, indexed],
                        help="attacker/origin realization grid (and stage series)")
     p.add_argument("--series", action="store_true",
                    help="also emit per-path stage series (csv: series only)")
@@ -447,7 +450,7 @@ def _build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        model = _load_model(args)
+        model = _first_index(_load_model(args), args)
         code = args.func(args, model, _effective_config(model, args))
         sys.stdout.flush()
         return code

@@ -308,6 +308,11 @@ class TestBirthDeathRule:
         with pytest.raises(NumericalError, match=message):
             MarkovChain(states=("S0", "S1", "S2"), matrix=np.array(rows))
 
+    def test_one_state_is_rejected(self):
+        # No transient state: nothing to step, simulate or wait for.
+        with pytest.raises(NumericalError, match="two rows"):
+            MarkovChain(states=("S0",), matrix=np.eye(1))
+
     def test_copy_of_a_built_chain_is_accepted(self, model):
         chain = build_chain(model.path("1"), model)
         copy = replace(chain, matrix=chain.matrix.copy())
@@ -434,27 +439,34 @@ class TestHitProbabilityWithin:
     def test_early_stop_matches_every_step(self, model, d):
         # The reference takes all h steps of the same transition step;
         # h = 6000 lies past the fixed point of every built-in path,
-        # where the loop stops early.
+        # where the loop stops and F keeps its last value.
         horizon = 6000
         config = replace(model.config, defence_probability=d)
         for path in model.paths:
             chain = build_chain(path, model, config)
             rows = _moves(chain)
-            live = np.zeros(len(rows))
-            live[0] = 1.0
-            reference = np.zeros(horizon + 1)
-            for step in range(1, horizon + 1):
-                live, arrived = _step(live[:, None] * rows)
-                reference[step] = reference[step - 1] + arrived
-            after, arrived = _step(live[:, None] * rows)
-            assert np.array_equal(after, live) and reference[-1] + arrived == reference[-1]
-            assert np.array_equal(_first_passage_cdf(chain, horizon), reference)
+            live = [1.0] + [0.0] * (len(rows) - 1)
+            reference = [0.0]
+            for _ in range(horizon):
+                live, arrived = _step([(p * f, p * b, p * s) for p, (f, b, s) in zip(live, rows)])
+                reference.append(reference[-1] + arrived)
+            after, arrived = _step([(p * f, p * b, p * s) for p, (f, b, s) in zip(live, rows)])
+            assert after == live and reference[-1] + arrived == reference[-1]
+            cdf = _first_passage_cdf(chain, horizon)
+            assert len(cdf) < horizon + 1
+            assert cdf + cdf[-1:] * (horizon + 1 - len(cdf)) == reference
 
     def test_step_adds_stay_then_forward_then_back(self):
         # 1 + u rounds to 1, and 1 + 2u + u to 1 + 4u: only this order
         # gives 1 + 2u in the middle state.
         u = 2.0**-53
-        moves = np.array([[u, 0.0, 0.5], [0.5, 0.25, 1.0], [0.0625, 2 * u, 0.125]])
+        moves = [(u, 0.0, 0.5), (0.5, 0.25, 1.0), (0.0625, 2 * u, 0.125)]
         live, arrived = _step(moves)
-        assert live.tolist() == [0.75, 1.0 + 2 * u, 0.625]
+        assert live == [0.75, 1.0 + 2 * u, 0.625]
         assert arrived == 0.0625
+
+    def test_step_moves_integer_counts(self):
+        # The simulator's draws: (forward, back, stay) walk counts.
+        live, arrived = _step([[3, 0, 5], [2, 4, 1], [7, 1, 0]])
+        assert live == [9, 5, 2] and arrived == 7
+        assert all(type(n) is int for n in live)

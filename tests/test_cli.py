@@ -501,6 +501,23 @@ class TestFirstIndexFlag:
         assert code == 1 and out == ""
         assert err == "riskctl: error: --first-index must be >= 1, got 0\n"
 
+    def test_checked_once_without_paths(self, capsys, tmp_path):
+        doc = json.loads(serialize_model(builtin_paper_model()))
+        doc["paths"] = []
+        path = tmp_path / "no-paths.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "report", "--model", str(path), "--first-index", "0")
+        assert code == 1 and out == ""
+        assert err == "riskctl: error: --first-index must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("command", ["score", "verify"])
+    def test_commands_without_a_path_refuse_it(self, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--first-index", "2"])
+        assert info.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments: --first-index 2" in err
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
