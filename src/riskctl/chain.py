@@ -41,7 +41,7 @@ class MarkovChain:
     stage_probs: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        matrix = np.asarray(self.matrix, dtype=float)
+        self.matrix = matrix = np.asarray(self.matrix, dtype=float)
         if matrix.ndim != 2 or not np.isfinite(matrix).all():
             raise NumericalError("transition matrix must be a 2-D array of finite entries")
         if len(matrix) < 2:

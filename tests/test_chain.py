@@ -21,6 +21,7 @@ from riskctl import (
     hit_probability_within,
     mean_time_to_compromise,
     realization_probability,
+    simulate,
     stage_attack_probabilities,
     stage_attack_probability,
     stage_forward_probabilities,
@@ -420,6 +421,13 @@ class TestHitProbabilityWithin:
             matrix=np.array([[0.5, 0.5], [0.0, 1.0]]),
         )
         assert hit_probability_within(chain, 2) == pytest.approx(0.75, abs=1e-12)
+
+    def test_nested_list_matrix(self):
+        # The constructor stores the matrix as a float array.
+        chain = MarkovChain(states=("S0", "S1"), matrix=[[0.5, 0.5], [0, 1]])
+        assert chain.matrix.dtype == float
+        assert hit_probability_within(chain, 2) == 0.75
+        assert simulate(chain, trials=100, horizon=60, seed=0).hits == 100
 
     def test_monotone_and_converges(self, model):
         chain = build_chain(model.path("1"), model)
