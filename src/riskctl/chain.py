@@ -5,8 +5,9 @@ states S_0 .. S_m as a dense numpy matrix, built from the row formulas
 in ``stages.py`` and refusing any entry off their three diagonals.
 ``_moves`` reads its diagonals once as plain floats and ``_step`` moves
 walks one step: the first-passage analytics step the expected moves,
-the seeded Monte Carlo simulator that cross-checks them its multinomial
-draws.  numpy is left for the stored matrix, the draws and ``ttc_samples``.
+the seeded Monte Carlo simulator that cross-checks them its draws,
+the binomial calls of a per-state ``multinomial`` made one by one.
+numpy is left for the stored matrix, the draws and ``ttc_samples``.
 """
 
 from __future__ import annotations
@@ -122,8 +123,9 @@ def validate_stochastic(chain: MarkovChain, tol: float = 1e-12) -> list[str]:
 def _moves(chain: MarkovChain) -> list[tuple[float, float, float]]:
     """One (forward, back, stay) row of move probabilities per transient
     state, back_0 = 0; the target's row is never read, which pins it
-    absorbing.  Stay comes last: ``multinomial`` draws the last category
-    as the remainder, and the forward moves set the hit times."""
+    absorbing.  Stay comes last: ``simulate`` draws forward, then back,
+    and leaves the stay count as the remainder, as ``multinomial`` does;
+    the forward moves set the hit times."""
     rows = chain.matrix.tolist()
     return [(row[j + 1], row[j - 1] if j else 0.0, row[j]) for j, row in enumerate(rows[:-1])]
 
@@ -240,6 +242,33 @@ def _hit_time_stats(arrivals: list[int]) -> tuple[float, float, float, float, fl
     )
 
 
+def _draw_probabilities(chain: MarkovChain) -> list[tuple[float, float]]:
+    """(forward, back / (1 - forward)) per transient state: the success
+    probabilities of ``multinomial(n, (forward, back, stay))``'s two
+    binomial calls, for the forward moves and then for the back moves
+    out of the rest.  The second is clamped to 1.0 where it rounds past
+    it, which draws the same, and is 0.0 at forward = 1, where no walk
+    is left to draw it for.
+
+    Raises ``ValueError``, naming the state, for a row ``multinomial``
+    refuses, reached by a walk or not: an entry outside [0, 1] or NaN,
+    or forward + back > 1 + 1e-12.
+    """
+    probs = []
+    for j, (f, b, s) in enumerate(_moves(chain)):
+        if not all(0.0 <= p <= 1.0 for p in (f, b, s)):
+            raise ValueError(
+                f"move probabilities (forward, back, stay) = ({f!r}, {b!r}, {s!r}) "
+                f"out of state {chain.states[j]} must lie in [0, 1]"
+            )
+        if f + b > 1.0 + 1e-12:
+            raise ValueError(
+                f"forward + back probability out of state {chain.states[j]} is {f + b!r} > 1"
+            )
+        probs.append((f, min(b / (1.0 - f), 1.0) if f < 1.0 else 0.0))
+    return probs
+
+
 def simulate(
     chain: MarkovChain,
     trials: int,
@@ -251,8 +280,12 @@ def simulate(
 
     Each step draws the walks that leave S_0 .. S_{m-1}, in that order,
     as ``multinomial(live[j], _moves(chain)[j])`` from one Philox stream
-    keyed by ``SeedSequence(seed)``, and moves them with ``_step``.  A
-    run stops when every walk has hit or at the horizon, so it costs
+    keyed by ``SeedSequence(seed)``, and moves them with ``_step``.  The
+    draws are ``multinomial``'s own scalar binomial calls, made one by
+    one and skipped where they draw nothing (no walks or probability
+    0): same bits, without its per-call set-up.  A run stops when every
+    walk has hit, when no walk can move (each occupied state has forward
+    and back probability 0) or at the horizon, so it costs
     O(horizon * m) whatever ``trials``; the hit times come out ascending.
 
     ``workers`` is accepted for compatibility and has no effect on the
@@ -260,7 +293,8 @@ def simulate(
 
     Raises:
         ValueError: trials < 1 or > 2**63 - 1 (the walk counts are
-            int64), horizon < 1, negative seed, workers < 1.
+            int64), horizon < 1, negative seed, workers < 1, or a row
+            ``multinomial`` refuses (see ``_draw_probabilities``).
         MemoryError: the hit-time samples do not fit in memory.
     """
     if not 1 <= trials < 2**63:
@@ -272,19 +306,29 @@ def simulate(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
-    rows = _moves(chain)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    live = [trials] + [0] * (len(rows) - 1)
+    probs = _draw_probabilities(chain)
+    binomial = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).binomial
+    live = [trials] + [0] * (len(probs) - 1)
     arrivals = np.zeros(horizon + 1, dtype=np.int64)
     hits = 0
     for step in range(1, horizon + 1):
-        live, arrivals[step] = _step(rng.multinomial(live, rows).tolist())
-        hits += int(arrivals[step])
+        moves = []
+        for n, (f, q) in zip(live, probs):
+            forward = binomial(n, f) if n and f else 0
+            rest = n - forward
+            back = binomial(rest, q) if rest and q else 0
+            moves.append((forward, back, rest - back))
+        new, arrived = _step(moves)
+        arrivals[step] = arrived
+        hits += arrived
         if hits == trials:
             break
+        if new == live and not any(n and (f or q) for n, (f, q) in zip(live, probs)):
+            break  # every occupied state is absorbing: no later step moves a walk
+        live = new
 
     try:
-        samples = np.repeat(np.arange(horizon + 1), arrivals)
+        samples = np.repeat(np.arange(step + 1), arrivals[: step + 1])
     except (ValueError, MemoryError) as exc:
         raise MemoryError(
             f"Unable to allocate the {hits} hit-time samples of trials={trials}"

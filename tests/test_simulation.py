@@ -1,6 +1,7 @@
 """Tests for the seeded Monte Carlo first-passage simulator."""
 
 import math
+import random
 import threading
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from riskctl import MarkovChain, build_chain, hit_probability_within, simulate
+from riskctl import chain as chain_module
 from riskctl.chain import _first_passage_cdf, _hit_time_stats
 
 
@@ -39,22 +41,23 @@ class TestDeterminism:
         assert not np.array_equal(a.ttc_samples, b.ttc_samples)
 
 
-def reference_hit_times(chain, trials, horizon, seed):
+def reference_arrivals(chain, trials, horizon, seed):
     """Per-state reference of the documented stream contract.
 
     One Philox stream keyed by ``SeedSequence(seed)``; at each step, one
     ``multinomial(n_j, (fwd_j, back_j, stay_j))`` call per transient
     state j = 0 .. m-1, in that order.  The forward moves out of S_{m-1}
-    hit.  Returns the hit times, ascending.
+    hit.  Returns the hits at steps 1, 2, ... until no walk is left or
+    the horizon.
     """
     rows = chain.matrix.tolist()
     m = chain.target
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    live, hits = [trials] + [0] * (m - 1), []
+    live, arrivals = [trials] + [0] * (m - 1), []
     for step in range(1, horizon + 1):
         if not any(live):
             break
-        moved = [0] * m
+        moved, hit = [0] * m, 0
         for j, n in enumerate(live):
             row = [rows[j][j + 1], rows[j][j - 1] if j else 0.0, rows[j][j]]
             f, b, stay = rng.multinomial(int(n), row).tolist()
@@ -64,9 +67,53 @@ def reference_hit_times(chain, trials, horizon, seed):
             if j + 1 < m:
                 moved[j + 1] += f
             else:
-                hits += [step] * f
+                hit = f
         live = moved
-    return hits
+        arrivals.append(hit)
+    return arrivals
+
+
+def reference_hit_times(chain, trials, horizon, seed):
+    """The hit times of ``reference_arrivals``, ascending."""
+    arrivals = reference_arrivals(chain, trials, horizon, seed)
+    return np.repeat(np.arange(1, len(arrivals) + 1), arrivals).tolist()
+
+
+def chain_of(moves):
+    """A chain whose transient state S_j moves forward, back and stays
+    with ``moves[j]``; the target is absorbing."""
+    m = len(moves)
+    matrix = np.zeros((m + 1, m + 1))
+    for j, (f, b, s) in enumerate(moves):
+        matrix[j, j : j + 2] = s, f
+        if j:
+            matrix[j, j - 1] = b
+    matrix[m, m] = 1.0
+    return MarkovChain(states=tuple(f"S{j}" for j in range(m + 1)), matrix=matrix)
+
+
+def generated_chain(m, rng):
+    """``m`` transient states with random moves, every forward one positive."""
+    moves = []
+    for j in range(m):
+        f = rng.uniform(0.01, 1.0)
+        b = rng.uniform(0.0, 1.0 - f) if j else 0.0
+        moves.append((f, b, 1.0 - f - b))
+    return chain_of(moves)
+
+
+def count_steps(monkeypatch):
+    """Record the arrivals of each ``_step`` call ``simulate`` makes."""
+    arrivals = []
+
+    def step(moves):
+        live, arrived = real_step(moves)
+        arrivals.append(arrived)
+        return live, arrived
+
+    real_step = chain_module._step
+    monkeypatch.setattr(chain_module, "_step", step)
+    return arrivals
 
 
 class TestCountStream:
@@ -75,6 +122,75 @@ class TestCountStream:
         trials, horizon, seed = 30_000, 30, 11
         report = simulate(chain, trials=trials, horizon=horizon, seed=seed, workers=2)
         assert report.ttc_samples.tolist() == reference_hit_times(chain, trials, horizon, seed)
+
+    @pytest.mark.parametrize("trials, horizon", [(200_000, 200), (10_000, 1000)])
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 13, 21, 34, 64])
+    def test_generated_chains_match_reference(self, m, trials, horizon):
+        rng = random.Random(m)
+        for seed in (0, 1, 2**40 + m):
+            chain = generated_chain(m, rng)
+            report = simulate(chain, trials=trials, horizon=horizon, seed=seed)
+            assert report.ttc_samples.tolist() == reference_hit_times(chain, trials, horizon, seed)
+
+    @pytest.mark.parametrize(
+        "moves, trials",
+        [
+            # Forward exactly 1: the back draw never happens.
+            ([(1.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.4, 0.3, 0.3)], 10_000),
+            # Forward 0 with a positive back; back 0; stay 0.
+            ([(0.6, 0.0, 0.4), (0.0, 0.5, 0.5), (0.3, 0.7, 0.0), (0.5, 0.0, 0.5)], 10_000),
+            # A few walks trickle out of S_0, so S_1 is often empty
+            # between occupied S_0 and S_2.
+            ([(0.02, 0.0, 0.98), (0.9, 0.05, 0.05), (0.01, 0.01, 0.98)], 50),
+            # back / (1 - forward) rounds an ulp past 1, and lies 7e-13
+            # past it: multinomial passes it on, simulate clamps it to 1.
+            (
+                [(0.5, 0.0, 0.5), (0.7, math.nextafter(1.0 - 0.7, 1.0), 0.0),
+                 (0.3, 0.7 + 5e-13, 0.0)],
+                10_000,
+            ),
+        ],
+    )
+    def test_edge_rows_match_reference(self, moves, trials):
+        chain = chain_of(moves)
+        for seed in range(5):
+            report = simulate(chain, trials=trials, horizon=300, seed=seed)
+            assert report.ttc_samples.tolist() == reference_hit_times(chain, trials, 300, seed)
+
+    def test_int64_walk_counts_match_reference(self, model, monkeypatch):
+        # The hit-time samples of 2**63 - 1 trials cannot be allocated,
+        # so the draws are compared step by step.
+        chain = build_chain(model.path("1"), model)
+        trials = 2**63 - 1
+        arrivals = count_steps(monkeypatch)
+        with pytest.raises(MemoryError, match="hit-time samples"):
+            simulate(chain, trials=trials, horizon=6, seed=3)
+        assert arrivals == reference_arrivals(chain, trials, 6, 3)
+
+
+class TestInvalidRows:
+    """A row ``multinomial`` refuses is refused before any draw, even in a
+    state no walk reaches: S_0 keeps every walk here."""
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ((0.5, -0.1, 0.6), r"out of state S1 must lie in \[0, 1\]"),
+            ((0.5, 0.2, 1.5), r"out of state S1 must lie in \[0, 1\]"),
+            ((float("nan"), 0.2, 0.3), r"out of state S1 must lie in \[0, 1\]"),
+            ((0.6, 0.4 + 2e-12, 0.0), "forward \\+ back probability out of state S1"),
+        ],
+    )
+    def test_rejected_before_any_draw(self, monkeypatch, row, message):
+        chain = chain_of([(0.0, 0.0, 1.0), (0.5, 0.2, 0.3)])
+        # Set after construction, which refuses NaN.
+        chain.matrix[1, :3] = row[1], row[2], row[0]
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).multinomial(0, row)
+        arrivals = count_steps(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            simulate(chain, trials=100, horizon=10, seed=0)
+        assert arrivals == []
 
 
 class TestNoThreads:
@@ -122,6 +238,29 @@ class TestWalkSemantics:
         assert np.all(report.ttc_samples == m)
         assert report.mean_ttc == float(m)
         assert report.p50 == report.p90 == report.p99 == float(m)
+
+    @pytest.mark.parametrize(
+        "moves, steps",
+        [
+            # Every attack probability 0: no walk ever leaves S_0.
+            ([(0.0, 0.0, 1.0), (0.0, 0.3, 0.7)], 1),
+            # Every walk moves to S_1 at step 1 and stays there.
+            ([(1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.5, 0.5, 0.0)], 2),
+        ],
+    )
+    def test_stops_once_no_walk_can_move(self, monkeypatch, moves, steps):
+        arrivals = count_steps(monkeypatch)
+        report = simulate(chain_of(moves), trials=10_000, horizon=100_000, seed=0)
+        assert arrivals == [0] * steps
+        assert report.hits == 0 and report.ttc_samples.size == 0
+
+    def test_runs_on_while_a_walk_can_move(self, monkeypatch):
+        # S_0 drains into S_1, which keeps its walks: the loop runs until
+        # S_0 is empty, a few dozen steps, not to the horizon.
+        arrivals = count_steps(monkeypatch)
+        report = simulate(chain_of([(0.5, 0.0, 0.5), (0.0, 0.0, 1.0)]), 10_000, 100_000, seed=4)
+        assert 13 <= len(arrivals) < 100
+        assert report.hits == 0
 
     def test_report_invariants(self, model):
         chain = build_chain(model.path("3"), model)
