@@ -22,7 +22,7 @@ import numpy as np
 from .config import AnalysisConfig
 from .errors import NumericalError, UnreachableTargetError
 from .model import AttackPath, ThreatModel
-from .stages import _chain_rows, _stochastic_violations
+from .stages import _chain_rows, _forward_entries, _stochastic_violations
 
 
 @dataclass(eq=False)
@@ -127,7 +127,8 @@ def _moves(chain: MarkovChain) -> list[tuple[float, float, float]]:
     and leaves the stay count as the remainder, as ``multinomial`` does;
     the forward moves set the hit times."""
     rows = chain.matrix.tolist()
-    return [(row[j + 1], row[j - 1] if j else 0.0, row[j]) for j, row in enumerate(rows[:-1])]
+    return [(f, row[j - 1] if j else 0.0, row[j])
+            for j, (f, row) in enumerate(zip(_forward_entries(rows), rows))]
 
 
 def _step(moves: list) -> tuple[list, float | int]:
@@ -168,16 +169,19 @@ def mean_time_to_compromise(chain: MarkovChain) -> float:
 
 
 def _first_passage_cdf(chain: MarkovChain, horizon: int) -> list[float]:
-    """F(0), F(1), ... up to F(horizon) or F's fixed point, whichever
-    comes first; F(t) past the end is the last entry.  F(t) is the
-    probability that a walk from S_0 first reaches the target within t
-    steps: ``_step``'s arrivals, summed."""
+    """F(0), F(1), ... up to F(horizon) or the last step that moves F,
+    whichever comes first; F(t) past the end is the last entry.  F(t) is
+    the probability that a walk from S_0 first reaches the target within
+    t steps: ``_step``'s arrivals, summed.  A step that leaves F as it is
+    ends the pass if it leaves ``live`` as it is too, or if F plus twice
+    the mass in transit rounds to F: with stochastic rows, no later
+    arrival can then move F."""
     rows = _moves(chain)
     live = [1.0] + [0.0] * (len(rows) - 1)
     cdf = [0.0]
     for _ in range(horizon):
         new, arrived = _step([(p * f, p * b, p * s) for p, (f, b, s) in zip(live, rows)])
-        if cdf[-1] + arrived == cdf[-1] and new == live:  # no later step moves
+        if cdf[-1] + arrived == cdf[-1] and (new == live or cdf[-1] + 2.0 * sum(new) == cdf[-1]):
             break
         live = new
         cdf.append(cdf[-1] + arrived)

@@ -30,11 +30,9 @@ from .model import (
     parse_model,
     resolve_score,
 )
-from .report import StageSeriesRow, build_results_grid, run_verification, stage_series
-from .stages import _chain_rows, _stochastic_violations
+from .report import StageSeriesRow, _grid, run_verification, stage_series
+from .stages import _chain_rows, _forward_entries, _stochastic_violations
 
-_ATTACKER_ORDER = (Attacker.AUTHORIZED, Attacker.UNAUTHORIZED)
-_ORIGIN_ORDER = (ReferenceDomain.CLOUD, ReferenceDomain.INFRA_EDGE, ReferenceDomain.VEHICLE)
 _SERIES_COLUMNS = [f.name for f in fields(StageSeriesRow)]
 
 
@@ -223,7 +221,7 @@ def _cmd_matrix(args, model: ThreatModel, config: AnalysisConfig) -> int:
         print(f"riskctl: error: constructed matrix is not stochastic: {violations}",
               file=sys.stderr)
         return 1
-    product = math.prod(row[j + 1] for j, row in enumerate(matrix[:-1]))
+    product = math.prod(_forward_entries(matrix))
     header = ["state"] + list(states)
     rows = [[state] + row for state, row in zip(states, matrix)]
     digits = args.round
@@ -302,12 +300,10 @@ def _grid_cell_text(cells) -> str:
 
 
 def _cmd_report(args, model: ThreatModel, config: AnalysisConfig) -> int:
-    grid = build_results_grid(model, config)
-    cells = [
-        (attacker, origin, grid.get((attacker, origin), []))
-        for attacker in _ATTACKER_ORDER
-        for origin in _ORIGIN_ORDER
-    ]
+    path_rows = [stage_series(path, model, config) for path in model.paths]
+    # W = realization_probability, from each path's rows.
+    grid = _grid(model, [math.prod(row.forward_prob for row in rows) for rows in path_rows])
+    cells = [(a, o, grid.get((a, o), [])) for a in Attacker for o in ReferenceDomain]
     payload = {
         "grid": [
             {
@@ -332,9 +328,7 @@ def _cmd_report(args, model: ThreatModel, config: AnalysisConfig) -> int:
     )
     trailer = []
     if args.series:
-        series = _series_rows(
-            row for path in model.paths for row in stage_series(path, model, config)
-        )
+        series = _series_rows(row for rows in path_rows for row in rows)
         payload["series"] = [dict(zip(_SERIES_COLUMNS, row)) for row in series]
         csv_view = (_SERIES_COLUMNS, series, [])
         if args.format == "table":
@@ -344,12 +338,9 @@ def _cmd_report(args, model: ThreatModel, config: AnalysisConfig) -> int:
     _emit(
         args,
         payload,
-        ["attacker"] + [o.display for o in _ORIGIN_ORDER],
-        [
-            [attacker.value]
-            + [_grid_cell_text(grid.get((attacker, origin), [])) for origin in _ORIGIN_ORDER]
-            for attacker in _ATTACKER_ORDER
-        ],
+        ["attacker"] + [o.display for o in ReferenceDomain],
+        [[attacker.value] + [_grid_cell_text(row) for a, _, row in cells if a is attacker]
+         for attacker in Attacker],
         trailer=trailer,
         csv_view=csv_view,
     )

@@ -11,6 +11,7 @@ from .errors import RiskctlError
 from .model import Attacker, AttackPath, ReferenceDomain, ThreatModel, ViewDomain
 from .stages import (
     _chain_rows,
+    _forward_entries,
     _gated,
     realization_probability,
     stage_attack_probabilities,
@@ -54,13 +55,15 @@ def build_results_grid(
     A path with origin aliases fills every aliased cell with the same
     value; cells with several paths keep them in model order.
     """
+    return _grid(model, [realization_probability(path, model, config) for path in model.paths])
+
+
+def _grid(model: ThreatModel, probabilities: list[float]) -> ResultsGrid:
+    """:func:`build_results_grid` from one W per path of ``model``, in model order."""
     grid: ResultsGrid = {}
-    for path in model.paths:
-        probability = realization_probability(path, model, config)
+    for path, probability in zip(model.paths, probabilities):
         for origin in path.origins:
-            grid.setdefault((path.attacker, origin), []).append(
-                GridCell(path_id=path.id, probability=probability)
-            )
+            grid.setdefault((path.attacker, origin), []).append(GridCell(path.id, probability))
     return grid
 
 
@@ -126,10 +129,9 @@ _EXPECTED_LEGACY_MATRIX = (
 _LEGACY_PUBLISHED_PRODUCT = 0.156
 
 
-def _check_cvss_columns(model: ThreatModel) -> CheckResult:
-    name = "cvss-columns"
+def _check_cvss_columns(model: ThreatModel) -> tuple[bool, str]:
     if not model.vectors:
-        return CheckResult(name, False, "model has no vectors to score")
+        return False, "model has no vectors to score"
     failures = []
     for domain, expected in _EXPECTED_COLUMNS.items():
         if domain not in model.vectors:
@@ -140,7 +142,7 @@ def _check_cvss_columns(model: ThreatModel) -> CheckResult:
         if any(abs(a - e) > 1e-9 for a, e in zip(actual, expected)):
             failures.append(f"{domain.code}: expected {expected}, got {actual}")
     if failures:
-        return CheckResult(name, False, "; ".join(failures))
+        return False, "; ".join(failures)
     detail = "all four columns reproduced"
     published = model.score_sets.get("paper-published")
     if published is not None:
@@ -150,33 +152,21 @@ def _check_cvss_columns(model: ThreatModel) -> CheckResult:
             f"; networking formula total {networking:.1f} diverges from published "
             f"{published.totals[ViewDomain.NETWORKING]} (reported, not reconciled)"
         )
-    return CheckResult(name, True, detail)
+    return True, detail
 
 
-def _check_stage_probabilities(model: ThreatModel) -> CheckResult:
-    name = "stage-probabilities-id1"
-    try:
-        path = model.path("1")
-        actual = stage_forward_probabilities(path, model)
-    except RiskctlError as exc:
-        return CheckResult(name, False, str(exc))
+def _check_stage_probabilities(model: ThreatModel) -> tuple[bool, str]:
+    actual = stage_forward_probabilities(model.path("1"), model)
     if len(actual) != len(_EXPECTED_ID1_STAGES):
-        return CheckResult(name, False, f"expected 4 stages, got {len(actual)}")
+        return False, f"expected 4 stages, got {len(actual)}"
     diffs = [abs(a - e) for a, e in zip(actual, _EXPECTED_ID1_STAGES)]
     if max(diffs) > 1e-4:
-        return CheckResult(
-            name, False,
-            f"expected {_EXPECTED_ID1_STAGES}, got {tuple(round(a, 5) for a in actual)}",
-        )
-    return CheckResult(name, True, f"max deviation {max(diffs):.2e}")
+        return False, f"expected {_EXPECTED_ID1_STAGES}, got {tuple(round(a, 5) for a in actual)}"
+    return True, f"max deviation {max(diffs):.2e}"
 
 
-def _check_results_grid(model: ThreatModel) -> CheckResult:
-    name = "results-grid"
-    try:
-        grid = build_results_grid(model)
-    except RiskctlError as exc:
-        return CheckResult(name, False, str(exc))
+def _check_results_grid(model: ThreatModel) -> tuple[bool, str]:
+    grid = build_results_grid(model)
     failures = []
     worst = 0.0
     for key, expected_cell in _EXPECTED_GRID.items():
@@ -193,45 +183,50 @@ def _check_results_grid(model: ThreatModel) -> CheckResult:
                     f"expected {expected:.2f}%, got {cells[path_id]:.2f}%"
                 )
     if failures:
-        return CheckResult(name, False, "; ".join(failures))
-    return CheckResult(name, True, f"7 cells within 0.05 pp (worst {worst:.3f} pp)")
+        return False, "; ".join(failures)
+    return True, f"7 cells within 0.05 pp (worst {worst:.3f} pp)"
 
 
-def _check_legacy_matrix(model: ThreatModel) -> CheckResult:
-    name = "legacy-matrix"
-    try:
-        path = replace(model.path("3"), first_stage_index=2)
-        config = replace(model.config, exponent_coefficient=1.0, score_set="legacy")
-        _, matrix, _ = _chain_rows(path, model, config)
-    except RiskctlError as exc:
-        return CheckResult(name, False, str(exc))
+def _check_legacy_matrix(model: ThreatModel) -> tuple[bool, str]:
+    path = replace(model.path("3"), first_stage_index=2)
+    config = replace(model.config, exponent_coefficient=1.0, score_set="legacy")
+    _, matrix, _ = _chain_rows(path, model, config)
     n = len(matrix)
     if n != len(_EXPECTED_LEGACY_MATRIX):
-        return CheckResult(name, False, f"matrix shape {(n, n)}, expected 4x4")
+        return False, f"matrix shape {(n, n)}, expected 4x4"
     diff = max(abs(value - expected) for row, expected_row in zip(matrix, _EXPECTED_LEGACY_MATRIX)
                for value, expected in zip(row, expected_row))
-    product = math.prod(row[j + 1] for j, row in enumerate(matrix[:-1]))
-    detail = (
+    product = math.prod(_forward_entries(matrix))
+    return diff <= 0.01, (
         f"max entry deviation {diff:.4f}; no-detour product {product:.4f} "
         f"(published rounded-entry value {_LEGACY_PUBLISHED_PRODUCT})"
     )
-    return CheckResult(name, diff <= 0.01, detail)
 
 
-def _check_normalization(model: ThreatModel) -> CheckResult:
-    name = "normalization-constant"
+def _check_normalization(model: ThreatModel) -> tuple[bool, str]:
     actual = max_total_score(model.weight_table)
     if actual == 42.5:
-        return CheckResult(name, True, "max total score = 42.5")
-    return CheckResult(name, False, f"max total score = {actual!r}, expected 42.5")
+        return True, "max total score = 42.5"
+    return False, f"max total score = {actual!r}, expected 42.5"
+
+
+_CHECKS = (
+    ("cvss-columns", _check_cvss_columns),
+    ("stage-probabilities-id1", _check_stage_probabilities),
+    ("results-grid", _check_results_grid),
+    ("legacy-matrix", _check_legacy_matrix),
+    ("normalization-constant", _check_normalization),
+)
 
 
 def run_verification(model: ThreatModel) -> list[CheckResult]:
-    """Run every built-in reproduction check against a model."""
-    return [
-        _check_cvss_columns(model),
-        _check_stage_probabilities(model),
-        _check_results_grid(model),
-        _check_legacy_matrix(model),
-        _check_normalization(model),
-    ]
+    """Run every built-in reproduction check against a model; a check
+    that raises a :class:`RiskctlError` fails with its message."""
+    results = []
+    for name, check in _CHECKS:
+        try:
+            passed, detail = check(model)
+        except RiskctlError as exc:
+            passed, detail = False, str(exc)
+        results.append(CheckResult(name, passed, detail))
+    return results

@@ -134,6 +134,11 @@ def _chain_rows(
     return states, rows, a
 
 
+def _forward_entries(rows: list) -> list[float]:
+    """The forward entry, column j + 1, of each transient row S_j of ``_chain_rows``."""
+    return [row[j + 1] for j, row in enumerate(rows[:-1])]
+
+
 def _stochastic_violations(states: tuple, rows: list, tol: float = 1e-12) -> list[str]:
     """Rows not summing to 1 within ``tol`` and entries outside [0, 1]
     (NaN among them); empty means valid."""

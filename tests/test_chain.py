@@ -1,6 +1,7 @@
 """Tests for stage probabilities, chain construction, and first-passage analytics."""
 
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +29,7 @@ from riskctl import (
     validate_stochastic,
 )
 from riskctl import stages
-from riskctl.chain import _first_passage_cdf, _moves, _step
+from riskctl.chain import _first_passage_cdf, _hit_within, _moves, _step
 from riskctl.errors import (
     EmptyPathError,
     InvalidConfigError,
@@ -74,6 +75,30 @@ def toy_model(scores, domains, d=0.1, k=2.0, law=ProbabilityLaw.EXPONENTIAL,
         ),
     )
     return model, path
+
+
+def every_step_cdf(chain, horizon):
+    """(F(0..horizon), live after the last step) from all ``horizon``
+    steps of ``_step``, with no early stop."""
+    rows = _moves(chain)
+    live = [1.0] + [0.0] * (len(rows) - 1)
+    cdf = [0.0]
+    for _ in range(horizon):
+        live, arrived = _step([(p * f, p * b, p * s) for p, (f, b, s) in zip(live, rows)])
+        cdf.append(cdf[-1] + arrived)
+    return cdf, live
+
+
+def assert_early_stop_exact(chain, horizon, reference):
+    """``_first_passage_cdf`` held at its last entry, and the (P, E) of
+    ``_hit_within``, equal the every-step ``reference`` bit for bit."""
+    cdf = _first_passage_cdf(chain, horizon)
+    assert cdf + cdf[-1:] * (horizon + 1 - len(cdf)) == reference
+    within = None
+    if reference[-1] > 0.0:
+        arrivals = enumerate(zip(reference, reference[1:]), 1)
+        within = math.fsum(t * (b - a) for t, (a, b) in arrivals) / reference[-1]
+    assert _hit_within(chain, horizon) == (min(max(reference[-1], 0.0), 1.0), within)
 
 
 class TestStageAttackProbability:
@@ -445,24 +470,53 @@ class TestHitProbabilityWithin:
 
     @pytest.mark.parametrize("d", [0.0, 0.1, 0.3, 0.5])
     def test_early_stop_matches_every_step(self, model, d):
-        # The reference takes all h steps of the same transition step;
-        # h = 6000 lies past the fixed point of every built-in path,
-        # where the loop stops and F keeps its last value.
+        # h = 6000 lies past the fixed point of every built-in path.
         horizon = 6000
         config = replace(model.config, defence_probability=d)
         for path in model.paths:
             chain = build_chain(path, model, config)
-            rows = _moves(chain)
-            live = [1.0] + [0.0] * (len(rows) - 1)
-            reference = [0.0]
-            for _ in range(horizon):
-                live, arrived = _step([(p * f, p * b, p * s) for p, (f, b, s) in zip(live, rows)])
-                reference.append(reference[-1] + arrived)
-            after, arrived = _step([(p * f, p * b, p * s) for p, (f, b, s) in zip(live, rows)])
+            reference, live = every_step_cdf(chain, horizon)
+            moves = [(p * f, p * b, p * s) for p, (f, b, s) in zip(live, _moves(chain))]
+            after, arrived = _step(moves)
             assert after == live and reference[-1] + arrived == reference[-1]
-            cdf = _first_passage_cdf(chain, horizon)
-            assert len(cdf) < horizon + 1
-            assert cdf + cdf[-1:] * (horizon + 1 - len(cdf)) == reference
+            assert len(_first_passage_cdf(chain, horizon)) < horizon + 1
+            assert_early_stop_exact(chain, horizon, reference)
+
+    @pytest.mark.parametrize("horizon", [1000, 6000])
+    @pytest.mark.parametrize("m", range(2, 65, 2))
+    def test_early_stop_on_generated_paths(self, m, horizon):
+        # Drawn scores and a drawn d per stage position; every pass here
+        # stops on the mass in transit, well before h = 1000.
+        rng = random.Random(m)
+        toy, path = toy_model({dom: rng.uniform(0.5, 42.5) for dom in ViewDomain},
+                              [rng.choice(list(ViewDomain)) for _ in range(m)],
+                              d=tuple(rng.uniform(0.0, 0.5) for _ in range(m)))
+        chain = build_chain(path, toy)
+        assert_early_stop_exact(chain, horizon, every_step_cdf(chain, horizon)[0])
+
+    @pytest.mark.parametrize("k", range(36, 56))
+    def test_early_stop_waits_for_mass_in_transit(self, k):
+        # No stay moves: arrivals come every other step, so F stays put
+        # for a step while the 2**-k walks sent back are two steps away.
+        delta = 2.0**-k
+        chain = MarkovChain(states=("S0", "S1", "S2"),
+                            matrix=[[0.0, 1.0, 0.0], [delta, 0.0, 1.0 - delta], [0.0, 0.0, 1.0]])
+        assert_early_stop_exact(chain, 1000, every_step_cdf(chain, 1000)[0])
+
+    @pytest.mark.parametrize("scores, domains", [
+        # Stuck mass: the walks pile up in S_2, whose stage scores 0 at d = 0.
+        ({ViewDomain.DATA: 30.0}, [ViewDomain.DATA, ViewDomain.DATA, ViewDomain.SOFTWARE,
+                                   ViewDomain.DATA]),
+        # No walk leaves S_0.
+        ({}, [ViewDomain.DATA, ViewDomain.SOFTWARE]),
+    ], ids=["stuck-mass", "unreachable"])
+    @pytest.mark.parametrize("horizon", [1000, 6000])
+    def test_early_stop_when_the_target_is_out_of_reach(self, scores, domains, horizon):
+        toy, path = toy_model(scores, domains, d=0.0)
+        chain = build_chain(path, toy)
+        reference = every_step_cdf(chain, horizon)[0]
+        assert reference[-1] == 0.0
+        assert_early_stop_exact(chain, horizon, reference)
 
     def test_step_adds_stay_then_forward_then_back(self):
         # 1 + u rounds to 1, and 1 + 2u + u to 1 + 4u: only this order

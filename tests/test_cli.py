@@ -1,11 +1,14 @@
 """Tests for the riskctl command-line interface."""
 
 import csv
+import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,11 +16,14 @@ import pytest
 
 import riskctl
 from riskctl import (
+    ViewDomain,
     builtin_paper_model,
     realization_probability,
+    run_verification,
     serialize_model,
     stage_forward_probabilities,
 )
+from riskctl import report, stages
 from riskctl.cli import main
 
 LEGACY_MATRIX = np.array(
@@ -318,6 +324,37 @@ class TestReport:
         assert code == 0
         assert all(entry["cells"] == [] for entry in json.loads(out)["grid"])
 
+    def test_series_derives_each_path_once(self, capsys, tmp_path, monkeypatch):
+        # 32 paths of 1-12 stages drawn from the built-in ones, scored by
+        # the formula.  The digest pins the bytes that a pass for the grid
+        # and another for the series printed; one pass must print them too.
+        rng = random.Random(19)
+        doc = json.loads(serialize_model(builtin_paper_model()))
+        pool = [stage for path in doc["paths"] for stage in path["stages"]]
+        doc["paths"] = [
+            {**rng.choice(doc["paths"]), "id": f"g{i}",
+             "stages": [rng.choice(pool) for _ in range(rng.randint(1, 12))]}
+            for i in range(32)
+        ]
+        doc["config"]["score_set"] = "formula"
+        path = tmp_path / "g32.json"
+        path.write_text(json.dumps(doc))
+        calls = []
+        original = stages.stage_attack_probabilities
+
+        def counted(path, *args):
+            calls.append(path.id)
+            return original(path, *args)
+
+        for module in (report, stages):
+            monkeypatch.setattr(module, "stage_attack_probabilities", counted)
+        code, out, _ = run(capsys, "report", "--series", "--format", "json", "--model", str(path))
+        assert code == 0
+        assert calls == [f"g{i}" for i in range(32)]
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "59b6229d90f92e20c5cfb5206a5303ec19695e69f715158f7e67daf68b0f5bc0"
+        )
+
     def test_series_csv(self, capsys):
         code, out, _ = run(capsys, "report", "--series", "--format", "csv")
         rows = list(csv.reader(io.StringIO(out)))
@@ -399,6 +436,17 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--model", str(path))
         assert code == 2
         assert [l for l in out.splitlines() if l.startswith("FAIL")] == failures
+
+    def test_an_error_in_any_check_is_its_fail_line(self):
+        # parse_model refuses a label the weight table lacks, so only a
+        # model built in-process gets one as far as score_breakdown.
+        model = builtin_paper_model()
+        vector = replace(model.vectors[ViewDomain.DATA], av="Q")
+        results = run_verification(replace(model, vectors={**model.vectors, ViewDomain.DATA: vector}))
+        assert [r.passed for r in results] == [False, True, True, True, True]
+        assert (results[0].name, results[0].detail) == (
+            "cvss-columns", "label 'Q' is not defined for parameter AV"
+        )
 
     def test_config_flag_applies_to_the_checks(self, capsys):
         code, out, _ = run(capsys, "verify", "--d", "0.5")
