@@ -22,7 +22,7 @@ import numpy as np
 from .config import AnalysisConfig
 from .errors import NumericalError, UnreachableTargetError
 from .model import AttackPath, ThreatModel
-from .stages import _chain_rows, _forward_entries, _stochastic_violations
+from .stages import _chain_rows, _forward_entries
 
 
 @dataclass(eq=False)
@@ -109,11 +109,18 @@ def build_chain(
 
 
 def validate_stochastic(chain: MarkovChain, tol: float = 1e-12) -> list[str]:
-    """Return violations of row-stochasticity; empty means valid."""
+    """Return violations of row-stochasticity (a shape off the states, a row
+    sum off 1 by more than ``tol``, an entry outside [0, 1] or NaN); empty means valid."""
     matrix, n = np.asarray(chain.matrix, dtype=float), len(chain.states)
     if matrix.shape != (n, n):
         return [f"matrix shape {matrix.shape} does not match {n} states"]
-    return _stochastic_violations(chain.states, matrix.tolist(), tol)
+    violations = []
+    for i, row in enumerate(matrix.tolist()):
+        if abs(sum(row) - 1.0) > tol:
+            violations.append(f"row {i} ({chain.states[i]}) sums to {sum(row)!r}, not 1")
+        violations += [f"entry [{i}, {j}] = {v!r} out of [0, 1]"
+                       for j, v in enumerate(row) if not 0.0 <= v <= 1.0]
+    return violations
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,8 @@ from .model import (
     parse_model,
     resolve_score,
 )
-from .report import StageSeriesRow, _grid, run_verification, stage_series
-from .stages import _chain_rows, _forward_entries, _stochastic_violations
+from .report import StageSeriesRow, _grid, _series, run_verification, stage_series
+from .stages import _chain_rows, _derivation, _forward_entries
 
 _SERIES_COLUMNS = [f.name for f in fields(StageSeriesRow)]
 
@@ -216,11 +216,6 @@ def _cmd_matrix(args, model: ThreatModel, config: AnalysisConfig) -> int:
         raise ValueError(f"--round must be >= 0, got {args.round}")
     path = model.path(args.id)
     states, matrix, stage_probs = _chain_rows(path, model, config)
-    violations = _stochastic_violations(states, matrix)
-    if violations:
-        print(f"riskctl: error: constructed matrix is not stochastic: {violations}",
-              file=sys.stderr)
-        return 1
     product = math.prod(_forward_entries(matrix))
     header = ["state"] + list(states)
     rows = [[state] + row for state, row in zip(states, matrix)]
@@ -300,7 +295,8 @@ def _grid_cell_text(cells) -> str:
 
 
 def _cmd_report(args, model: ThreatModel, config: AnalysisConfig) -> int:
-    path_rows = [stage_series(path, model, config) for path in model.paths]
+    derive = _derivation(model, config)
+    path_rows = [_series(path, derive) for path in model.paths]
     # W = realization_probability, from each path's rows.
     grid = _grid(model, [math.prod(row.forward_prob for row in rows) for rows in path_rows])
     cells = [(a, o, grid.get((a, o), [])) for a in Attacker for o in ReferenceDomain]

@@ -11,10 +11,8 @@ from .errors import RiskctlError
 from .model import Attacker, AttackPath, ReferenceDomain, ThreatModel, ViewDomain
 from .stages import (
     _chain_rows,
+    _derivation,
     _forward_entries,
-    _gated,
-    realization_probability,
-    stage_attack_probabilities,
     stage_forward_probabilities,
 )
 
@@ -55,7 +53,8 @@ def build_results_grid(
     A path with origin aliases fills every aliased cell with the same
     value; cells with several paths keep them in model order.
     """
-    return _grid(model, [realization_probability(path, model, config) for path in model.paths])
+    derive = _derivation(model, config)
+    return _grid(model, [math.prod(derive(path)[1]) for path in model.paths])
 
 
 def _grid(model: ThreatModel, probabilities: list[float]) -> ResultsGrid:
@@ -71,9 +70,12 @@ def stage_series(
     path: AttackPath, model: ThreatModel, config: AnalysisConfig | None = None
 ) -> list[StageSeriesRow]:
     """Per-stage plot-ready rows for one path."""
-    cfg = config if config is not None else model.config
-    raw = stage_attack_probabilities(path, model, cfg)
-    forward = _gated(raw, cfg)
+    return _series(path, _derivation(model, config))
+
+
+def _series(path: AttackPath, derive) -> list[StageSeriesRow]:
+    """:func:`stage_series` from a run's ``derive`` (see ``stages._derivation``)."""
+    raw, forward = derive(path)
     return [
         StageSeriesRow(
             path_id=path.id,

@@ -2,7 +2,9 @@
 
 Per-domain scores become stage attack probabilities a_j (growing with
 the stage index under the exponential law); defence gating turns them
-into forward probabilities, whose product is W.  The a_j also give the
+into forward probabilities, whose product is W.  One derivation per
+run, ``_derivation``, scores each domain once and gates the stages;
+every entry point below composes over it.  The a_j also give the
 birth-death chain over the compromise states S_0 .. S_m (Kemeny &
 Snell, *Finite Markov Chains*, 1960).  Row S_j is
 
@@ -60,26 +62,38 @@ def stage_attack_probability(
         return 1.0
 
 
+def _derivation(model: ThreatModel, config: AnalysisConfig | None = None):
+    """``derive(path) -> (attack, forward)``, the two functions below, for
+    one run.  Each domain is scored the first time a path of the run needs
+    it, a path's domains in stage order before any probability, so a score
+    that cannot be resolved is reported for the first stage that needs it."""
+    config = config if config is not None else model.config
+    scores: dict = {}
+
+    def derive(path: AttackPath) -> tuple[list[float], list[float]]:
+        if not path.stages:
+            raise EmptyPathError(f"path {path.id!r} has no stages")
+        for domain in (stage.view_domain for stage in path.stages):
+            if domain not in scores:
+                scores[domain] = resolve_score(model, domain, config.score_set, config.rounding)
+        i, m, final = path.first_stage_index, len(path.stages), config.defence_on_final_stage
+        attack = [stage_attack_probability(i + j, scores[stage.view_domain], config)
+                  for j, stage in enumerate(path.stages)]
+        return attack, [a * (1.0 - config.defence_at(j)) if j >= 2 and (j <= m - 1 or final)
+                        else a for j, a in enumerate(attack, start=1)]
+
+    return derive
+
+
 def stage_attack_probabilities(
     path: AttackPath, model: ThreatModel, config: AnalysisConfig | None = None
 ) -> list[float]:
     """Raw (ungated) attack probability per stage of a path.
 
-    Each domain is scored once, in stage order, so a score that cannot
-    be resolved is reported for the first stage that needs it.
-
     Raises:
         EmptyPathError: the path has no stages.
     """
-    config = config if config is not None else model.config
-    if not path.stages:
-        raise EmptyPathError(f"path {path.id!r} has no stages")
-    domains = dict.fromkeys(stage.view_domain for stage in path.stages)
-    scores = {d: resolve_score(model, d, config.score_set, config.rounding) for d in domains}
-    return [
-        stage_attack_probability(path.first_stage_index + j, scores[stage.view_domain], config)
-        for j, stage in enumerate(path.stages)
-    ]
+    return _derivation(model, config)(path)[0]
 
 
 def stage_forward_probabilities(
@@ -93,18 +107,7 @@ def stage_forward_probabilities(
     ``defence_on_final_stage`` is set.  The first position is never
     gated, and a single-stage path is never gated.
     """
-    config = config if config is not None else model.config
-    return _gated(stage_attack_probabilities(path, model, config), config)
-
-
-def _gated(attack: list[float], config: AnalysisConfig) -> list[float]:
-    """The forward probabilities of :func:`stage_forward_probabilities`,
-    gated from a path's raw stage attack probabilities."""
-    m, final = len(attack), config.defence_on_final_stage
-    return [
-        a * (1.0 - config.defence_at(j)) if j >= 2 and (j <= m - 1 or final) else a
-        for j, a in enumerate(attack, start=1)
-    ]
+    return _derivation(model, config)(path)[1]
 
 
 def realization_probability(
@@ -137,15 +140,3 @@ def _chain_rows(
 def _forward_entries(rows: list) -> list[float]:
     """The forward entry, column j + 1, of each transient row S_j of ``_chain_rows``."""
     return [row[j + 1] for j, row in enumerate(rows[:-1])]
-
-
-def _stochastic_violations(states: tuple, rows: list, tol: float = 1e-12) -> list[str]:
-    """Rows not summing to 1 within ``tol`` and entries outside [0, 1]
-    (NaN among them); empty means valid."""
-    violations = []
-    for i, row in enumerate(rows):
-        if abs(sum(row) - 1.0) > tol:
-            violations.append(f"row {i} ({states[i]}) sums to {sum(row)!r}, not 1")
-        violations += [f"entry [{i}, {j}] = {v!r} out of [0, 1]"
-                       for j, v in enumerate(row) if not 0.0 <= v <= 1.0]
-    return violations

@@ -222,6 +222,14 @@ class TestStageForwardProbabilities:
         with pytest.raises(EmptyPathError):
             stage_forward_probabilities(path, model)
 
+    @pytest.mark.parametrize("compute", [realization_probability, build_chain])
+    def test_per_stage_defence_shorter_than_the_path(self, model, compute):
+        # A document's config is checked against its longest path; a
+        # library caller can pass another config, and is told the position.
+        config = replace(model.config, defence_probability=(0.1, 0.1))
+        with pytest.raises(InvalidConfigError, match="length 2 has no entry for stage position 3"):
+            compute(model.path("1"), model, config)
+
     def test_each_domain_scored_once_in_stage_order(self, model, monkeypatch):
         # Path 1 visits networking, software, networking, data.
         scored = []

@@ -23,7 +23,7 @@ from riskctl import (
     serialize_model,
     stage_forward_probabilities,
 )
-from riskctl import report, stages
+from riskctl import cli, report, stages
 from riskctl.cli import main
 
 LEGACY_MATRIX = np.array(
@@ -326,8 +326,10 @@ class TestReport:
 
     def test_series_derives_each_path_once(self, capsys, tmp_path, monkeypatch):
         # 32 paths of 1-12 stages drawn from the built-in ones, scored by
-        # the formula.  The digest pins the bytes that a pass for the grid
-        # and another for the series printed; one pass must print them too.
+        # the formula.  One derivation serves the run: each path is derived
+        # once and each of the 4 domains is scored once, where a pipeline
+        # restarted per path and per pass made 86 score_breakdown calls.
+        # The digest pins the printed bytes.
         rng = random.Random(19)
         doc = json.loads(serialize_model(builtin_paper_model()))
         pool = [stage for path in doc["paths"] for stage in path["stages"]]
@@ -339,18 +341,23 @@ class TestReport:
         doc["config"]["score_set"] = "formula"
         path = tmp_path / "g32.json"
         path.write_text(json.dumps(doc))
-        calls = []
-        original = stages.stage_attack_probabilities
+        scored, made, derived = [], [], []
+        breakdown, derivation = riskctl.model.score_breakdown, stages._derivation
+        monkeypatch.setattr(riskctl.model, "score_breakdown",
+                            lambda *args: scored.append(args) or breakdown(*args))
 
-        def counted(path, *args):
-            calls.append(path.id)
-            return original(path, *args)
+        def counted(*args):
+            derive = derivation(*args)
+            made.append(derive)
+            return lambda path: derived.append(path.id) or derive(path)
 
-        for module in (report, stages):
-            monkeypatch.setattr(module, "stage_attack_probabilities", counted)
+        for module in (cli, report, stages):
+            monkeypatch.setattr(module, "_derivation", counted)
         code, out, _ = run(capsys, "report", "--series", "--format", "json", "--model", str(path))
         assert code == 0
-        assert calls == [f"g{i}" for i in range(32)]
+        assert len(scored) == 4
+        assert len(made) == 1
+        assert derived == [f"g{i}" for i in range(32)]
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "59b6229d90f92e20c5cfb5206a5303ec19695e69f715158f7e67daf68b0f5bc0"
         )
@@ -424,9 +431,20 @@ class TestVerify:
               "FAIL legacy-matrix: matrix shape (3, 3), expected 4x4"]),
             (lambda doc: doc["score_sets"].pop("legacy"),
              ["FAIL legacy-matrix: no score set named 'legacy'"]),
+            # TD M, which only the data vector uses, moves data's
+            # environmental column; the maximum TD weight is unchanged.
+            (lambda doc: doc.update(weight_table={"td": {"N": 0.0, "L": 0.25, "M": 0.5,
+                                                          "H": 1.0}}),
+             ["FAIL cvss-columns: data: expected (6.8, 5.2, 5.7, 17.7), "
+              "got (6.8, 5.2, 3.8, 15.8)"]),
+            # E H, which no vector uses, moves only the maximum total.
+            (lambda doc: doc.update(weight_table={"e": {"U": 0.85, "PoC": 0.9, "F": 0.95,
+                                                         "H": 0.99}}),
+             ["FAIL normalization-constant: max total score = 42.275000000000006, "
+              "expected 42.5"]),
         ],
         ids=["no-vectors", "no-hardware-vector", "path-1-three-stages", "no-path-1",
-             "path-3-two-stages", "no-legacy-set"],
+             "path-3-two-stages", "no-legacy-set", "data-column-moved", "max-total-moved"],
     )
     def test_document_faults_fail_their_checks(self, capsys, tmp_path, change, failures):
         doc = json.loads(serialize_model(builtin_paper_model()))
