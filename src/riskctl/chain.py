@@ -29,10 +29,11 @@ from .stages import _chain_rows, _forward_entries
 class MarkovChain:
     """States S_0 .. S_m with a birth-death transition matrix.
 
-    Construction raises :class:`NumericalError` for a non-finite entry
-    or a non-zero one off the three central diagonals (back, stay,
-    forward); :func:`validate_stochastic` reports the other rules (a
-    shape matching ``states``, entries in [0, 1], rows summing to 1).
+    Construction raises :class:`NumericalError` for a non-finite entry,
+    a shape other than (n, n) for n states, or a non-zero entry off the
+    three central diagonals (back, stay, forward);
+    :func:`validate_stochastic` reports the other rules (entries in
+    [0, 1], rows summing to 1) and the shape of a reassigned matrix.
     ``stage_probs`` holds the raw (ungated) attack probabilities used
     during construction, one per stage.
     """
@@ -45,6 +46,9 @@ class MarkovChain:
         self.matrix = matrix = np.asarray(self.matrix, dtype=float)
         if matrix.ndim != 2 or not np.isfinite(matrix).all():
             raise NumericalError("transition matrix must be a 2-D array of finite entries")
+        if matrix.shape != (len(self.states),) * 2:
+            raise NumericalError(
+                f"matrix shape {matrix.shape} does not match {len(self.states)} states")
         if len(matrix) < 2:
             raise NumericalError("transition matrix needs two rows: a start state and a target")
         far = np.argwhere(np.triu(matrix, 2) + np.tril(matrix, -2))

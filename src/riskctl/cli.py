@@ -211,9 +211,15 @@ def _cmd_path(args, model: ThreatModel, config: AnalysisConfig) -> int:
 # matrix
 # ---------------------------------------------------------------------------
 
+# The most fractional digits a double in [0, 1] has: 2**-1074 has 1074.
+_MAX_ROUND = 1074
+
+
 def _cmd_matrix(args, model: ThreatModel, config: AnalysisConfig) -> int:
     if args.round is not None and args.round < 0:
         raise ValueError(f"--round must be >= 0, got {args.round}")
+    if args.round is not None and args.round > _MAX_ROUND:
+        raise ValueError(f"--round must be <= {_MAX_ROUND}, got {args.round}")
     path = model.path(args.id)
     states, matrix, stage_probs = _chain_rows(path, model, config)
     product = math.prod(_forward_entries(matrix))

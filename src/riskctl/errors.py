@@ -27,22 +27,23 @@ class UnknownPathError(RiskctlError):
     """An attack-path id does not exist in the model."""
 
 
-class EmptyPathError(RiskctlError):
-    """An attack path with no stages cannot be analyzed."""
-
-
 class InvalidConfigError(RiskctlError, ValueError):
-    """A configuration or model value is out of its allowed range.
+    """A configuration or model value breaks one of its rules.
 
-    ``field`` names the rejected attribute (an ``AnalysisConfig`` field,
-    a score set's domain code, or ``score_sources`` for a model with
-    neither vectors nor score sets), or is None.  Document parsing turns
-    it into the field path of a :class:`ValidationError`.
+    ``field`` names the rejected attribute: a field name (such as an
+    ``AnalysisConfig`` field or a score set's domain code), a tuple of
+    names and indices such as ``("paths", 1, "id")``, or None for the
+    object as a whole.  Document parsing turns it into the field path of
+    a :class:`ValidationError`.
     """
 
-    def __init__(self, message: str, field: str | None = None):
+    def __init__(self, message: str, field: str | tuple | None = None):
         super().__init__(message)
         self.field = field
+
+
+class EmptyPathError(InvalidConfigError):
+    """An attack path has no stages."""
 
 
 class UnreachableTargetError(RiskctlError):

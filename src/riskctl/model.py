@@ -31,6 +31,7 @@ from .cvss import (
 )
 from .errors import (
     DocumentSyntaxError,
+    EmptyPathError,
     InvalidConfigError,
     MissingVectorError,
     UnknownPathError,
@@ -107,7 +108,11 @@ class AttackStage:
 
     ref_domain: ReferenceDomain
     view_domain: ViewDomain
-    description: str = ""
+    description: str
+
+    def __post_init__(self):
+        if not self.description:
+            raise InvalidConfigError("description must be non-empty", "description")
 
     @property
     def code(self) -> str:
@@ -132,6 +137,15 @@ class AttackPath:
     first_stage_index: int = 1
     origin_aliases: tuple[ReferenceDomain, ...] = ()
 
+    def __post_init__(self):
+        if len(set(self.origins)) != len(self.origins):
+            raise InvalidConfigError("origin list has duplicates", "origin")
+        if self.first_stage_index < 1:
+            raise InvalidConfigError(
+                f"index must be >= 1, got {self.first_stage_index}", "first_stage_index")
+        if not self.stages:
+            raise EmptyPathError("stages must be a non-empty array", "stages")
+
     @property
     def origins(self) -> tuple[ReferenceDomain, ...]:
         return (self.origin, *self.origin_aliases)
@@ -149,6 +163,8 @@ class ScoreSet:
     totals: Mapping[ViewDomain, float]
 
     def __post_init__(self):
+        if not self.name or self.name == FORMULA_SOURCE:
+            raise InvalidConfigError(f"reserved or empty score-set name {self.name!r}")
         missing = [d.code for d in ViewDomain if d not in self.totals]
         if missing:
             raise InvalidConfigError(f"score set {self.name!r} missing domains: {missing}")
@@ -170,8 +186,8 @@ class ScoreSet:
 class ThreatModel:
     """Immutable bundle of score sources, defense, config, and paths.
 
-    A per-stage defence tuple needs an entry for every stage position of
-    the longest path.
+    Path ids are distinct, and a per-stage defence tuple needs an entry
+    for every stage position of the longest path.
     """
 
     score_sets: Mapping[str, ScoreSet] = field(default_factory=dict)
@@ -181,10 +197,13 @@ class ThreatModel:
     weight_table: WeightTable = DEFAULT_WEIGHT_TABLE
 
     def __post_init__(self):
+        ids = [p.id for p in self.paths]
+        if len(set(ids)) < len(ids):
+            i = next(i for i, path_id in enumerate(ids) if path_id in ids[:i])
+            raise InvalidConfigError(f"duplicate path id {ids[i]!r}", ("paths", i, "id"))
         if not self.score_sets and not self.vectors:
             raise InvalidConfigError(
-                "model needs at least one score source (vectors or score_sets)", "score_sources"
-            )
+                "model needs at least one score source (vectors or score_sets)")
         d = self.config.defence_probability
         longest = max((len(p.stages) for p in self.paths), default=0)
         if isinstance(d, tuple) and len(d) < longest:
@@ -316,16 +335,14 @@ def _enum(enum_cls):
 _view, _ref = _enum(ViewDomain), _enum(ReferenceDomain)
 
 
-def _index(value: Any, path, read=None) -> int:
-    if _integer(value, path) < 1:
-        raise _invalid(path, f"index must be >= 1, got {value}")
-    return value
-
-
-def _description(value: Any, path, read=None) -> str:
-    if not _string(value, path):
-        raise _invalid(path, "description must be non-empty")
-    return value
+def _field_error(exc: InvalidConfigError, path, renamed: Mapping = MappingProxyType({})):
+    """The error of a value object built at ``path``, at its field: the
+    field, renamed by ``renamed``, is a key or a tuple of keys below
+    ``path``, or None for the object itself."""
+    field = renamed.get(exc.field, exc.field)
+    for key in (field,) if isinstance(field, str) else field or ():
+        path = (path, key)
+    return _invalid(path, str(exc))
 
 
 _REQUIRED = object()
@@ -355,12 +372,14 @@ class _Table:
     The reader rejects unknown keys (all named, sorted), then a missing
     key (the first in table order), then parses the values.  With a
     ``build``, the object is a record, built from its values in table
-    order.  Without one it holds options: they are read in document
-    order, and the reader returns the ones given as a dict.
+    order; ``renamed`` maps a field its errors name to the document's.
+    Without one it holds options: they are read in document order, and
+    the reader returns the ones given as a dict.
     """
 
-    def __init__(self, *keys: _Key, build: Callable | None = None):
-        self.keys, self.build = keys, build
+    def __init__(self, *keys: _Key, build: Callable | None = None,
+                 renamed: Mapping = MappingProxyType({})):
+        self.keys, self.build, self.renamed = keys, build, renamed
         self.by_name = {key.name: key for key in keys}
         self.required = [key.name for key in keys if key.default is _REQUIRED]
         self.reading = sorted(keys, key=lambda key: key.phase)
@@ -381,7 +400,10 @@ class _Table:
         for key in self.reading:
             name = key.name
             out[name] = key.parse(obj[name], (path, name), out) if name in obj else key.default
-        return self.build(*[out[key.name] for key in self.keys])
+        try:
+            return self.build(*[out[key.name] for key in self.keys])
+        except InvalidConfigError as exc:
+            raise _field_error(exc, path, self.renamed) from None
 
     def dump(self, owner) -> dict[str, Any]:
         values = ((key.name, key.dump(owner)) for key in self.keys)
@@ -395,14 +417,11 @@ _TOTALS = _Table(*(_Key(d.code, _number, lambda s, d=d: s.totals[d], None) for d
 def _parse_score_sets(value: Any, path, read=None) -> dict[str, ScoreSet]:
     sets: dict[str, ScoreSet] = {}
     for name, entry in _object(value, path).items():
-        at = (path, name)
-        if not name or name == FORMULA_SOURCE:
-            raise _invalid(at, f"reserved or empty score-set name {name!r}")
-        totals = {ViewDomain(code): total for code, total in _TOTALS.parse(entry, at).items()}
+        totals = _TOTALS.parse(entry, (path, name))
         try:
-            sets[name] = ScoreSet(name=name, totals=totals)
+            sets[name] = ScoreSet(name, {ViewDomain(code): t for code, t in totals.items()})
         except InvalidConfigError as exc:
-            raise _invalid((at, exc.field) if exc.field else at, str(exc)) from None
+            raise _field_error(exc, (path, name)) from None
     return sets
 
 
@@ -491,60 +510,43 @@ def _parse_origins(value: Any, path, read=None) -> tuple[ReferenceDomain, ...]:
         return (_ref(value, path),)
     if not value:
         raise _invalid(path, "origin list must be non-empty")
-    origins = tuple(_ref(origin, (path, i)) for i, origin in enumerate(value))
-    if len(set(origins)) != len(origins):
-        raise _invalid(path, "origin list has duplicates")
-    return origins
+    return tuple(_ref(origin, (path, i)) for i, origin in enumerate(value))
 
 
-def _parse_stages(value: Any, path, read=None) -> tuple[AttackStage, ...]:
-    if not isinstance(value, list) or not value:
-        raise _invalid(path, "stages must be a non-empty array")
-    return tuple(_STAGE.parse(entry, (path, i)) for i, entry in enumerate(value))
+def _array(table: _Table, reason: str = "expected an array"):
+    """Parser of an array of ``table``'s objects, as a tuple."""
+    def parse(value: Any, path, read=None) -> tuple:
+        if not isinstance(value, list):
+            raise _invalid(path, reason)
+        return tuple(table.parse(entry, (path, i)) for i, entry in enumerate(value))
+
+    return parse
 
 
 _STAGE = _Table(
     _Key("ref", _ref, lambda s: s.ref_domain),
     _Key("domain", _view, lambda s: s.view_domain),
-    _Key("desc", _description, lambda s: s.description, phase=-1),
-    build=AttackStage,
+    _Key("desc", _string, lambda s: s.description),
+    build=AttackStage, renamed={"description": "desc"},
 )
-_PATH_ID = _Key("id", lambda v, path, read: str(_id(v, path)), lambda p: p.id)
 _PATH = _Table(
-    _PATH_ID,
+    _Key("id", lambda v, path, read: str(_id(v, path)), lambda p: p.id),
     _Key("attacker", _enum(Attacker), lambda p: p.attacker),
     _Key("origin", _parse_origins,
          lambda p: [o.code for o in p.origins] if p.origin_aliases else p.origin.code),
-    _Key("first_stage_index", _index, lambda p: p.first_stage_index, 1),
-    _Key("stages", _parse_stages, lambda p: [_STAGE.dump(s) for s in p.stages]),
+    _Key("first_stage_index", _integer, lambda p: p.first_stage_index, 1),
+    _Key("stages", _array(_STAGE, "stages must be a non-empty array"),
+         lambda p: [_STAGE.dump(s) for s in p.stages]),
     build=lambda path_id, attacker, origins, first, stages: AttackPath(
         path_id, attacker, origins[0], stages, first, origins[1:]),
 )
 
 
-def _parse_paths(value: Any, path, read=None) -> tuple[AttackPath, ...]:
-    if not isinstance(value, list):
-        raise _invalid(path, "expected an array")
-    paths: dict[str, AttackPath] = {}
-    for i, entry in enumerate(value):
-        parsed = _PATH.parse(entry, (path, i))
-        if parsed.id in paths:
-            raise _invalid(((path, i), _PATH_ID.name), f"duplicate path id {parsed.id!r}")
-        paths[parsed.id] = parsed
-    return tuple(paths.values())
-
-
 def _build_model(score_sets, vectors, table, defence, options, paths) -> ThreatModel:
-    """The value objects check their own ranges; their errors get a document path here."""
+    """The model, whose value objects check their own rules, and its score-set selection."""
     options = {_SCORE_SET.name: next(iter(score_sets), FORMULA_SOURCE), **options}
     config_path = (None, _CONFIG.name)
-    try:
-        model = ThreatModel(score_sets, vectors, paths, AnalysisConfig(defence, **options), table)
-    except InvalidConfigError as exc:
-        # Any other field the checks name is a config key.
-        at = {"score_sources": None,
-              "defence_probability": ((None, _DEFENCE_KEY.name), _PROBABILITY.name)}
-        raise _invalid(at.get(exc.field, (config_path, exc.field)), str(exc)) from None
+    model = ThreatModel(score_sets, vectors, paths, AnalysisConfig(defence, **options), table)
     selected = model.config.score_set
     if selected == FORMULA_SOURCE and vectors is None:
         raise _invalid((config_path, _SCORE_SET.name), "formula scoring requires vectors")
@@ -572,8 +574,11 @@ _DOCUMENT = _Table(
     _WEIGHT_TABLE,
     _DEFENCE_KEY,
     _CONFIG,
-    _Key("paths", _parse_paths, lambda m: [_PATH.dump(p) for p in m.paths], ()),
+    _Key("paths", _array(_PATH), lambda m: [_PATH.dump(p) for p in m.paths], ()),
     build=_build_model,
+    # AnalysisConfig's fields: its defence's key, and config keys of the same name.
+    renamed={"defence_probability": (_DEFENCE_KEY.name, _PROBABILITY.name),
+             **{key.name: (_CONFIG.name, key.name) for key in _OPTIONS.keys}},
 )
 
 
@@ -586,16 +591,18 @@ def parse_model(document: str) -> ThreatModel:
     table per parameter.  Unknown keys, ``null`` values, NaN and
     infinite numbers are rejected.  A ``defence.probability`` array
     needs an entry for every stage of the longest path.  Value ranges
-    are checked by the value objects (``AnalysisConfig``, ``ScoreSet``,
+    and the model's rules are checked by the value objects
+    (``AnalysisConfig``, ``AttackStage``, ``AttackPath``, ``ScoreSet``,
     ``ThreatModel``); their errors get the field path here.
 
     Raises:
-        DocumentSyntaxError: malformed JSON.
+        DocumentSyntaxError: malformed JSON, nesting too deep to read, or
+            an integer literal past Python's digit limit.
         ValidationError: schema violation, with the offending field path.
     """
     try:
         raw = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise DocumentSyntaxError(f"malformed document: {exc}") from None
     return _DOCUMENT.parse(raw, None)
 

@@ -9,12 +9,7 @@ from .config import AnalysisConfig
 from .cvss import Rounding, max_total_score, score_breakdown
 from .errors import RiskctlError
 from .model import Attacker, AttackPath, ReferenceDomain, ThreatModel, ViewDomain
-from .stages import (
-    _chain_rows,
-    _derivation,
-    _forward_entries,
-    stage_forward_probabilities,
-)
+from .stages import _chain_rows, _derivation, _forward_entries
 
 
 @dataclass(frozen=True)
@@ -131,7 +126,8 @@ _EXPECTED_LEGACY_MATRIX = (
 _LEGACY_PUBLISHED_PRODUCT = 0.156
 
 
-def _check_cvss_columns(model: ThreatModel) -> tuple[bool, str]:
+# Each check takes the model and the run's ``derive`` (see ``stages._derivation``).
+def _check_cvss_columns(model: ThreatModel, derive) -> tuple[bool, str]:
     if not model.vectors:
         return False, "model has no vectors to score"
     failures = []
@@ -157,8 +153,8 @@ def _check_cvss_columns(model: ThreatModel) -> tuple[bool, str]:
     return True, detail
 
 
-def _check_stage_probabilities(model: ThreatModel) -> tuple[bool, str]:
-    actual = stage_forward_probabilities(model.path("1"), model)
+def _check_stage_probabilities(model: ThreatModel, derive) -> tuple[bool, str]:
+    actual = derive(model.path("1"))[1]
     if len(actual) != len(_EXPECTED_ID1_STAGES):
         return False, f"expected 4 stages, got {len(actual)}"
     diffs = [abs(a - e) for a, e in zip(actual, _EXPECTED_ID1_STAGES)]
@@ -167,8 +163,8 @@ def _check_stage_probabilities(model: ThreatModel) -> tuple[bool, str]:
     return True, f"max deviation {max(diffs):.2e}"
 
 
-def _check_results_grid(model: ThreatModel) -> tuple[bool, str]:
-    grid = build_results_grid(model)
+def _check_results_grid(model: ThreatModel, derive) -> tuple[bool, str]:
+    grid = _grid(model, [math.prod(derive(path)[1]) for path in model.paths])
     failures = []
     worst = 0.0
     for key, expected_cell in _EXPECTED_GRID.items():
@@ -189,7 +185,7 @@ def _check_results_grid(model: ThreatModel) -> tuple[bool, str]:
     return True, f"7 cells within 0.05 pp (worst {worst:.3f} pp)"
 
 
-def _check_legacy_matrix(model: ThreatModel) -> tuple[bool, str]:
+def _check_legacy_matrix(model: ThreatModel, derive) -> tuple[bool, str]:
     path = replace(model.path("3"), first_stage_index=2)
     config = replace(model.config, exponent_coefficient=1.0, score_set="legacy")
     _, matrix, _ = _chain_rows(path, model, config)
@@ -205,7 +201,7 @@ def _check_legacy_matrix(model: ThreatModel) -> tuple[bool, str]:
     )
 
 
-def _check_normalization(model: ThreatModel) -> tuple[bool, str]:
+def _check_normalization(model: ThreatModel, derive) -> tuple[bool, str]:
     actual = max_total_score(model.weight_table)
     if actual == 42.5:
         return True, "max total score = 42.5"
@@ -223,11 +219,13 @@ _CHECKS = (
 
 def run_verification(model: ThreatModel) -> list[CheckResult]:
     """Run every built-in reproduction check against a model; a check
-    that raises a :class:`RiskctlError` fails with its message."""
+    that raises a :class:`RiskctlError` fails with its message.  The
+    checks under the model's config share one derivation."""
+    derive = _derivation(model)
     results = []
     for name, check in _CHECKS:
         try:
-            passed, detail = check(model)
+            passed, detail = check(model, derive)
         except RiskctlError as exc:
             passed, detail = False, str(exc)
         results.append(CheckResult(name, passed, detail))

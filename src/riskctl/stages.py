@@ -22,7 +22,6 @@ import math
 import warnings
 
 from .config import AnalysisConfig, ProbabilityLaw
-from .errors import EmptyPathError
 from .model import AttackPath, ScoreSet, ThreatModel, resolve_score
 
 
@@ -71,8 +70,6 @@ def _derivation(model: ThreatModel, config: AnalysisConfig | None = None):
     scores: dict = {}
 
     def derive(path: AttackPath) -> tuple[list[float], list[float]]:
-        if not path.stages:
-            raise EmptyPathError(f"path {path.id!r} has no stages")
         for domain in (stage.view_domain for stage in path.stages):
             if domain not in scores:
                 scores[domain] = resolve_score(model, domain, config.score_set, config.rounding)
@@ -88,11 +85,7 @@ def _derivation(model: ThreatModel, config: AnalysisConfig | None = None):
 def stage_attack_probabilities(
     path: AttackPath, model: ThreatModel, config: AnalysisConfig | None = None
 ) -> list[float]:
-    """Raw (ungated) attack probability per stage of a path.
-
-    Raises:
-        EmptyPathError: the path has no stages.
-    """
+    """Raw (ungated) attack probability per stage of a path."""
     return _derivation(model, config)(path)[0]
 
 

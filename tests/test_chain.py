@@ -216,11 +216,11 @@ class TestStageForwardProbabilities:
         assert forward[1] == pytest.approx(raw[1] * 0.5, abs=1e-12)
         assert forward[2] == pytest.approx(raw[2] * 0.8, abs=1e-12)
 
-    def test_empty_path(self, model):
-        path = AttackPath(id="x", attacker=Attacker.UNAUTHORIZED,
-                          origin=ReferenceDomain.CLOUD, stages=())
-        with pytest.raises(EmptyPathError):
-            stage_forward_probabilities(path, model)
+    def test_empty_path(self):
+        # An empty path is refused when it is built, before any stage is derived.
+        with pytest.raises(EmptyPathError, match="stages must be a non-empty array"):
+            AttackPath(id="x", attacker=Attacker.UNAUTHORIZED,
+                       origin=ReferenceDomain.CLOUD, stages=())
 
     @pytest.mark.parametrize("compute", [realization_probability, build_chain])
     def test_per_stage_defence_shorter_than_the_path(self, model, compute):
@@ -318,10 +318,9 @@ class TestBuildChain:
         assert np.all(off == 0.0)
 
     def test_empty_path(self, model):
-        path = AttackPath(id="x", attacker=Attacker.UNAUTHORIZED,
-                          origin=ReferenceDomain.CLOUD, stages=())
-        with pytest.raises(EmptyPathError):
-            build_chain(path, model)
+        # No chain can be asked for an empty path: emptying one fails.
+        with pytest.raises(EmptyPathError, match="stages must be a non-empty array"):
+            replace(model.path("1"), stages=())
 
 
 class TestBirthDeathRule:
@@ -341,6 +340,12 @@ class TestBirthDeathRule:
     def test_rejected_at_construction(self, rows, message):
         with pytest.raises(NumericalError, match=message):
             MarkovChain(states=("S0", "S1", "S2"), matrix=np.array(rows))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3)])
+    def test_shape_must_match_the_states(self, shape):
+        with pytest.raises(NumericalError, match=rf"matrix shape \({shape[0]}, {shape[1]}\) "
+                                                 "does not match 2 states"):
+            MarkovChain(states=("S0", "S1"), matrix=np.eye(*shape))
 
     def test_one_state_is_rejected(self):
         # No transient state: nothing to step, simulate or wait for.
@@ -379,9 +384,12 @@ class TestValidateStochastic:
         assert any("out of [0, 1]" in v for v in violations)
 
     def test_shape_mismatch(self):
-        chain = MarkovChain(states=("S0",), matrix=np.zeros((2, 2)))
+        # Construction refuses the mismatch; a matrix reassigned later is
+        # still reported.
+        chain = MarkovChain(states=("S0", "S1"), matrix=np.eye(2))
+        chain.matrix = np.zeros((3, 3))
         assert validate_stochastic(chain) == [
-            "matrix shape (2, 2) does not match 1 states"
+            "matrix shape (3, 3) does not match 2 states"
         ]
 
 

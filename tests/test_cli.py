@@ -157,6 +157,21 @@ class TestMatrix:
         assert "0.495" in out and "0.505" in out
 
     @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_rounding_past_a_doubles_digits_rejected(self, capsys, fmt):
+        code, out, err = run(capsys, "matrix", "--id", "1", "--round", "1075", "--format", fmt)
+        assert code == 1
+        assert out == ""
+        assert err == "riskctl: error: --round must be <= 1074, got 1075\n"
+
+    def test_rounding_to_every_digit_of_a_double(self, capsys):
+        # 2**-1074, the smallest double above 0, has 1074 fractional digits.
+        _, out, _ = run(capsys, "matrix", "--id", "1", "--format", "json")
+        entry = json.loads(out)["matrix"][0][0]
+        code, out, _ = run(capsys, "matrix", "--id", "1", "--round", "1074")
+        assert code == 0
+        assert f"{entry:.1074f}" in out.split()
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
     def test_negative_rounding_rejected(self, capsys, fmt):
         code, out, err = run(capsys, "matrix", "--id", "1", "--round", "-1", "--format", fmt)
         assert code == 1
@@ -475,6 +490,17 @@ class TestVerify:
         assert ("FAIL stage-probabilities-id1: expected (0.4946, 0.53541, 0.78381, 0.9643), "
                 "got (0.49457, 0.29743, 0.43544, 0.96427)") in out.splitlines()
 
+    def test_checks_share_one_derivation(self, monkeypatch):
+        # Path 1 needs three domains and the grid all four: one derivation
+        # scores each once, where a derivation per check scored seven.
+        model = builtin_paper_model()
+        scored = []
+        breakdown = riskctl.model.score_breakdown
+        monkeypatch.setattr(riskctl.model, "score_breakdown",
+                            lambda *args: scored.append(args) or breakdown(*args))
+        run_verification(replace(model, config=replace(model.config, score_set="formula")))
+        assert len(scored) == 4
+
     def test_missing_model_file(self, capsys):
         code, _, err = run(capsys, "verify", "--model", "/nonexistent/model.json")
         assert code == 1
@@ -583,6 +609,21 @@ class TestFirstIndexFlag:
         assert info.value.code == 1
         out, err = capsys.readouterr()
         assert out == "" and "unrecognized arguments: --first-index 2" in err
+
+
+class TestUnreadableDocuments:
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100_000 + "]" * 100_000, '{"score_sets": ' + "1" * 5000 + "}"],
+        ids=["deep-nesting", "long-integer"],
+    )
+    def test_error_line_without_traceback(self, capsys, tmp_path, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "score", "--model", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("riskctl: error: ") and err.count("\n") == 1
 
 
 class TestUsageErrors:

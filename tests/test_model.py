@@ -7,6 +7,8 @@ import pytest
 
 from riskctl import (
     AnalysisConfig,
+    Attacker,
+    AttackPath,
     AttackStage,
     ProbabilityLaw,
     ReferenceDomain,
@@ -21,7 +23,9 @@ from riskctl import (
     serialize_model,
 )
 from riskctl.errors import (
+    DocumentError,
     DocumentSyntaxError,
+    EmptyPathError,
     InvalidConfigError,
     MissingVectorError,
     UnknownPathError,
@@ -125,6 +129,17 @@ class TestParseModel:
     def test_malformed_json(self):
         with pytest.raises(DocumentSyntaxError):
             parse_model("{not json")
+
+    def test_nesting_too_deep_to_read(self):
+        with pytest.raises(DocumentSyntaxError, match="malformed document: maximum recursion"):
+            parse_model("[" * 100_000 + "]" * 100_000)
+
+    def test_integer_literal_past_the_digit_limit(self):
+        # Python 3.10 before 3.10.7 has no digit limit: the literal then
+        # reads as a number past the float range, a ValidationError.
+        document = json.dumps(MINIMAL_DOC).replace("17.7", "1" * 5000)
+        with pytest.raises(DocumentError):
+            parse_model(document)
 
     def test_non_object_document(self):
         with pytest.raises(ValidationError):
@@ -302,6 +317,103 @@ class TestRoundTrip:
         again = parse_model(serialize_model(parsed))
         assert again == parsed
         assert "weight_table" in serialize_model(parsed)
+
+
+def _minimal_path(**changes):
+    """MINIMAL_DOC's path, built in Python, with ``changes``."""
+    stage = AttackStage(ReferenceDomain.VEHICLE, ViewDomain.DATA, "single stage")
+    return replace(AttackPath("p1", Attacker.UNAUTHORIZED, ReferenceDomain.VEHICLE, (stage,)),
+                   **changes)
+
+
+def _minimal_model(**changes):
+    totals = {ViewDomain(code): total
+              for code, total in MINIMAL_DOC["score_sets"]["default"].items()}
+    base = ThreatModel({"default": ScoreSet("default", totals)}, paths=(_minimal_path(),),
+                       config=AnalysisConfig(score_set="default"))
+    return replace(base, **changes)
+
+
+def _doc(*keys, value):
+    doc = json.loads(json.dumps(MINIMAL_DOC))
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value(target) if callable(value) else value
+    return doc
+
+
+# One case per model rule: the document that breaks it, the field path
+# parse_model reports, and the same fault built in Python.
+MODEL_RULES = {
+    "empty description": (
+        _doc("paths", 0, "stages", 0, "desc", value=""), "paths[0].stages[0].desc",
+        lambda: AttackStage(ReferenceDomain.VEHICLE, ViewDomain.DATA, ""),
+    ),
+    "first stage index below 1": (
+        _doc("paths", 0, "first_stage_index", value=0), "paths[0].first_stage_index",
+        lambda: _minimal_path(first_stage_index=0),
+    ),
+    "duplicate origins": (
+        _doc("paths", 0, "origin", value=["cloud", "infra_edge", "cloud"]), "paths[0].origin",
+        lambda: _minimal_path(origin=ReferenceDomain.CLOUD,
+                              origin_aliases=(ReferenceDomain.INFRA_EDGE, ReferenceDomain.CLOUD)),
+    ),
+    "no stages": (
+        _doc("paths", 0, "stages", value=[]), "paths[0].stages",
+        lambda: _minimal_path(stages=()),
+    ),
+    "duplicate path ids": (
+        _doc("paths", value=lambda doc: [*doc["paths"], doc["paths"][0]]), "paths[1].id",
+        lambda: _minimal_model(paths=(_minimal_path(), _minimal_path())),
+    ),
+    "score set named formula": (
+        _doc("score_sets", "formula", value=lambda sets: sets["default"]), "score_sets.formula",
+        lambda: ScoreSet("formula", _minimal_model().score_sets["default"].totals),
+    ),
+    "score set with an empty name": (
+        _doc("score_sets", "", value=lambda sets: sets["default"]), "score_sets.",
+        lambda: ScoreSet("", _minimal_model().score_sets["default"].totals),
+    ),
+}
+
+
+class TestModelRulesLiveInTheValueObjects:
+    """Each model rule is checked by its value object alone: a model
+    built in Python is refused with the message parse_model reports, so
+    serialize_model never writes a document parse_model refuses."""
+
+    @pytest.mark.parametrize("case", MODEL_RULES)
+    def test_library_object_raises_the_document_message(self, case):
+        doc, path, build = MODEL_RULES[case]
+        with pytest.raises(ValidationError) as document:
+            parse_model(json.dumps(doc))
+        with pytest.raises(InvalidConfigError) as library:
+            build()
+        assert document.value.path == path
+        assert str(library.value) == document.value.reason
+
+    def test_empty_path_error_is_a_config_error(self):
+        with pytest.raises(EmptyPathError) as info:
+            _minimal_path(stages=())
+        assert isinstance(info.value, InvalidConfigError)
+        assert info.value.field == "stages"
+
+    def test_duplicate_id_names_the_second_path(self):
+        paths = (_minimal_path(), _minimal_path(id="p2"), _minimal_path(id="p2"))
+        with pytest.raises(InvalidConfigError, match="duplicate path id 'p2'") as info:
+            _minimal_model(paths=paths)
+        assert info.value.field == ("paths", 2, "id")
+
+    def test_round_trip_holds_except_for_the_selection(self):
+        # The selection rule stays with the document: a library model may
+        # select a score set it lacks, and its document is refused.
+        model = _minimal_model(config=AnalysisConfig())
+        assert model.config.score_set == "paper-published"
+        with pytest.raises(ValidationError, match="unknown score set 'paper-published'"):
+            parse_model(serialize_model(model))
+        selected = replace(model, config=AnalysisConfig(score_set="default"))
+        assert parse_model(serialize_model(selected)) == selected
 
 
 class TestThreatModelInvariants:

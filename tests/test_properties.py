@@ -20,6 +20,7 @@ from riskctl import (
     Attacker,
     AttackPath,
     AttackStage,
+    InvalidConfigError,
     MarkovChain,
     ProbabilityLaw,
     ReferenceDomain,
@@ -271,11 +272,44 @@ def generated_models(draw):
     )
 
 
+@st.composite
+def models_or_refusals(draw):
+    """A generated model with the fields the value objects' rules govern
+    drawn from values that break them too: one to three copies of its
+    path, each with a drawn id, first stage index and origin aliases, the
+    first stage's description, and one more score set with a drawn name.
+    Gives the model, or the InvalidConfigError that refused it."""
+    model = draw(generated_models())
+    names = st.sampled_from(["1", "x", "", "formula"])
+    path = model.paths[0]
+    try:
+        first = replace(path.stages[0], description=draw(st.sampled_from(["stage"] * 3 + [""])))
+        copy = replace(path, stages=(first, *path.stages[1:]))
+        paths = tuple(
+            replace(copy, id=draw(names), first_stage_index=draw(st.sampled_from([1, 2, 10, 0])),
+                    origin_aliases=tuple(draw(st.lists(st.sampled_from(ReferenceDomain),
+                                                       max_size=1))))
+            for _ in range(draw(st.integers(1, 3)))
+        )
+        extra = ScoreSet(draw(names), dict.fromkeys(ViewDomain, 1.0))
+        return replace(model, paths=paths, score_sets={**model.score_sets, extra.name: extra})
+    except InvalidConfigError as exc:
+        return exc
+
+
 class TestGeneratedModels:
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(model=generated_models())
     def test_document_round_trip(self, model):
         assert parse_model(serialize_model(model)) == model
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(model=models_or_refusals())
+    def test_every_accepted_model_round_trips(self, model):
+        # A model that breaks a rule is refused when it is built, so
+        # serialize_model never writes a document that parse_model refuses.
+        if not isinstance(model, InvalidConfigError):
+            assert parse_model(serialize_model(model)) == model
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(model=generated_models())
