@@ -102,6 +102,15 @@ class Attacker(Enum):
     UNAUTHORIZED = "unauthorized"
 
 
+def _check_types(owner, **types) -> None:
+    """Refuse a field of ``owner`` that is not of its type in ``types``;
+    a bool is an int only where the type is bool."""
+    for name, kind in types.items():
+        value = getattr(owner, name)
+        if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
+            raise InvalidConfigError(f"expected {kind.__name__}, got {value!r}", name)
+
+
 @dataclass(frozen=True)
 class AttackStage:
     """One step of an attack path: where it happens and what it targets."""
@@ -111,6 +120,7 @@ class AttackStage:
     description: str
 
     def __post_init__(self):
+        _check_types(self, ref_domain=ReferenceDomain, view_domain=ViewDomain, description=str)
         if not self.description:
             raise InvalidConfigError("description must be non-empty", "description")
 
@@ -138,6 +148,12 @@ class AttackPath:
     origin_aliases: tuple[ReferenceDomain, ...] = ()
 
     def __post_init__(self):
+        _check_types(self, id=str, attacker=Attacker, origin=ReferenceDomain,
+                     first_stage_index=int)
+        for i, alias in enumerate(self.origin_aliases):
+            if not isinstance(alias, ReferenceDomain):
+                raise InvalidConfigError(
+                    f"expected ReferenceDomain, got {alias!r}", ("origin_aliases", i))
         if len(set(self.origins)) != len(self.origins):
             raise InvalidConfigError("origin list has duplicates", "origin")
         if self.first_stage_index < 1:
@@ -186,8 +202,9 @@ class ScoreSet:
 class ThreatModel:
     """Immutable bundle of score sources, defense, config, and paths.
 
-    Path ids are distinct, and a per-stage defence tuple needs an entry
-    for every stage position of the longest path.
+    Each score set is keyed by its name, path ids are distinct, and a
+    per-stage defence tuple needs an entry for every stage position of
+    the longest path.
     """
 
     score_sets: Mapping[str, ScoreSet] = field(default_factory=dict)
@@ -197,6 +214,10 @@ class ThreatModel:
     weight_table: WeightTable = DEFAULT_WEIGHT_TABLE
 
     def __post_init__(self):
+        for key, score_set in self.score_sets.items():
+            if key != score_set.name:
+                raise InvalidConfigError(
+                    f"score set {score_set.name!r} is keyed {key!r}", ("score_sets", key))
         ids = [p.id for p in self.paths]
         if len(set(ids)) < len(ids):
             i = next(i for i, path_id in enumerate(ids) if path_id in ids[:i])

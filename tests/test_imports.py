@@ -1,12 +1,14 @@
-"""Which commands load numpy.
+"""Which commands load numpy, and what ``import riskctl`` loads.
 
 Only ``simulate`` may import numpy and ``riskctl.chain``, for its
-seeded draws; ``import riskctl`` and the score, path, report, matrix
-and verify commands stay free of both, with the built-in model and with
-a model document.  Each check runs in a fresh interpreter, because this
-test process has numpy loaded already.
+seeded draws; the score, path, report, matrix and verify commands stay
+free of both, with the built-in model and with a model document.
+``import riskctl`` loads no submodule at all: each public name loads
+its home module on first use.  Each check runs in a fresh interpreter,
+because this test process has numpy loaded already.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -22,13 +24,15 @@ SRC = str(Path(riskctl.__file__).resolve().parent.parent)
 HEAVY = ("numpy", "riskctl.chain")
 
 
-def heavy_modules_after(code: str) -> list[str]:
-    """Run ``code`` in a fresh interpreter; return the HEAVY modules it loaded."""
+def modules_after(code: str) -> list[str]:
+    """Run ``code`` in a fresh interpreter; return the numpy and riskctl
+    modules it loaded, sorted."""
     probe = (
         "import contextlib, io, json, sys\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         + "".join(f"    {line}\n" for line in code.splitlines())
-        + f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))\n"
+        + "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                          if m.split('.')[0] in ('numpy', 'riskctl'))))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
@@ -37,6 +41,12 @@ def heavy_modules_after(code: str) -> list[str]:
     )
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout)
+
+
+def heavy_modules_after(code: str) -> list[str]:
+    """The HEAVY modules that ``code`` loads in a fresh interpreter."""
+    loaded = modules_after(code)
+    return [m for m in HEAVY if m in loaded]
 
 
 def heavy_modules_after_main(argv: list[str]) -> list[str]:
@@ -56,6 +66,10 @@ def model_args(request, tmp_path):
 
 def test_import_riskctl_loads_no_numpy():
     assert heavy_modules_after("import riskctl") == []
+
+
+def test_import_riskctl_loads_no_submodule():
+    assert modules_after("import riskctl") == ["riskctl"]
 
 
 @pytest.mark.parametrize(
@@ -79,6 +93,7 @@ def test_commands_with_a_chain_load_numpy(argv):
 def test_public_names_resolve():
     assert heavy_modules_after(
         "import riskctl\n"
+        "assert set(riskctl.__all__) <= set(dir(riskctl))\n"
         "missing = [n for n in riskctl.__all__ if not hasattr(riskctl, n)]\n"
         "assert not missing, missing\n"
         "from riskctl import simulate\n"
@@ -91,3 +106,18 @@ def test_public_names_resolve():
         "else:\n"
         "    raise AssertionError('unknown attribute resolved')"
     ) == list(HEAVY)
+
+
+def test_each_public_name_is_its_home_modules():
+    for module, names in riskctl._HOMES.items():
+        home = importlib.import_module(f"riskctl.{module}")
+        for name in names:
+            assert getattr(riskctl, name) is getattr(home, name), name
+
+
+def test_the_name_table_lists_each_name_once():
+    # The name-to-module dict the package looks names up in would drop a
+    # duplicate without a word.
+    names = [name for names in riskctl._HOMES.values() for name in names]
+    assert len(names) == len(set(names)) == len(riskctl.__all__)
+    assert riskctl.__all__ == sorted(names)

@@ -405,6 +405,34 @@ class TestModelRulesLiveInTheValueObjects:
             _minimal_model(paths=paths)
         assert info.value.field == ("paths", 2, "id")
 
+    def test_score_set_keyed_by_another_name(self, model):
+        # The document keeps only the key, so such a model would read back unequal.
+        with pytest.raises(InvalidConfigError, match="keyed 'other'") as info:
+            replace(model, score_sets={**model.score_sets, "other": model.score_sets["legacy"]})
+        assert info.value.field == ("score_sets", "other")
+
+    @pytest.mark.parametrize(
+        "build,field",
+        [
+            (lambda: _minimal_path(id=1), "id"),
+            (lambda: _minimal_path(first_stage_index=True), "first_stage_index"),
+            (lambda: _minimal_path(origin="vehicle"), "origin"),
+            (lambda: _minimal_path(origin_aliases=("cloud",)), ("origin_aliases", 0)),
+            (lambda: _minimal_path(attacker="unauthorized"), "attacker"),
+            (lambda: AttackStage(ReferenceDomain.VEHICLE, ViewDomain.DATA, 5), "description"),
+            (lambda: AttackStage("vehicle", ViewDomain.DATA, "stage"), "ref_domain"),
+            (lambda: AttackStage(ReferenceDomain.VEHICLE, "data", "stage"), "view_domain"),
+        ],
+        ids=["id=1", "first_stage_index=True", "origin", "alias", "attacker", "description=5",
+             "ref_domain", "view_domain"],
+    )
+    def test_fields_the_document_types_are_typed(self, build, field):
+        # Each would be written as a document that parse_model refuses or
+        # reads back as an unequal model.
+        with pytest.raises(InvalidConfigError, match="expected ") as info:
+            build()
+        assert info.value.field == field
+
     def test_round_trip_holds_except_for_the_selection(self):
         # The selection rule stays with the document: a library model may
         # select a score set it lacks, and its document is refused.
