@@ -32,7 +32,7 @@ _HOMES = {
               "mean_time_to_compromise", "simulate", "validate_stochastic"),
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
-__all__ = sorted(name for names in _HOMES.values() for name in names)
+__all__ = sorted(_HOME_OF)
 
 
 def __getattr__(name):

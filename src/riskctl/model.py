@@ -104,10 +104,10 @@ class Attacker(Enum):
 
 def _check_types(owner, **types) -> None:
     """Refuse a field of ``owner`` that is not of its type in ``types``;
-    a bool is an int only where the type is bool."""
+    a bool is none of them (``True`` is an int)."""
     for name, kind in types.items():
         value = getattr(owner, name)
-        if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
+        if not isinstance(value, kind) or isinstance(value, bool):
             raise InvalidConfigError(f"expected {kind.__name__}, got {value!r}", name)
 
 

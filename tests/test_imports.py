@@ -65,10 +65,7 @@ def model_args(request, tmp_path):
 
 
 def test_import_riskctl_loads_no_numpy():
-    assert heavy_modules_after("import riskctl") == []
-
-
-def test_import_riskctl_loads_no_submodule():
+    # Nor any submodule: each public name loads its module on first use.
     assert modules_after("import riskctl") == ["riskctl"]
 
 
@@ -108,16 +105,12 @@ def test_public_names_resolve():
     ) == list(HEAVY)
 
 
-def test_each_public_name_is_its_home_modules():
+def test_the_name_table_lists_each_name_once_under_its_home():
+    # The name-to-module dict the package looks names up in would drop a
+    # duplicate without a word.
+    names = [name for names in riskctl._HOMES.values() for name in names]
+    assert len(names) == len(set(names)) and riskctl.__all__ == sorted(names)
     for module, names in riskctl._HOMES.items():
         home = importlib.import_module(f"riskctl.{module}")
         for name in names:
             assert getattr(riskctl, name) is getattr(home, name), name
-
-
-def test_the_name_table_lists_each_name_once():
-    # The name-to-module dict the package looks names up in would drop a
-    # duplicate without a word.
-    names = [name for names in riskctl._HOMES.values() for name in names]
-    assert len(names) == len(set(names)) == len(riskctl.__all__)
-    assert riskctl.__all__ == sorted(names)
