@@ -10,11 +10,10 @@ from riskctl import (
     Rounding,
     ViewDomain,
     builtin_paper_model,
-    impact_bias_weights,
-    lookup_weight,
     max_total_score,
     score_breakdown,
 )
+from riskctl.cvss import impact_bias_weights, lookup_weight
 
 
 def main():

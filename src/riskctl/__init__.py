@@ -14,21 +14,17 @@ __version__ = "0.1.0"
 # Each public name, under the module it lives in: the one list of them.
 _HOMES = {
     "config": ("FORMULA_SOURCE", "AnalysisConfig", "ProbabilityLaw"),
-    "cvss": ("DEFAULT_WEIGHT_TABLE", "PARAMETERS", "CvssVector", "Rounding", "ScoreBreakdown",
-             "WeightTable", "impact_bias_weights", "lookup_weight", "max_total_score",
-             "round_half_up", "score_breakdown"),
-    "errors": ("DocumentError", "DocumentSyntaxError", "EmptyPathError", "IncompleteVectorError",
-               "InvalidConfigError", "MissingVectorError", "NumericalError", "RiskctlError",
-               "UnknownLabelError", "UnknownPathError", "UnknownScoreSetError",
-               "UnreachableTargetError", "ValidationError"),
+    "cvss": ("DEFAULT_WEIGHT_TABLE", "PARAMETERS", "CvssVector", "Rounding", "WeightTable",
+             "max_total_score", "score_breakdown"),
+    "errors": ("DocumentError", "DocumentSyntaxError", "InvalidConfigError", "NotFoundError",
+               "NumericalError", "RiskctlError", "UnreachableTargetError", "ValidationError"),
     "model": ("Attacker", "AttackPath", "AttackStage", "ReferenceDomain", "ScoreSet",
               "ThreatModel", "ViewDomain", "builtin_paper_model", "paper_model_document",
               "parse_model", "resolve_score", "serialize_model"),
-    "report": ("CheckResult", "GridCell", "StageSeriesRow", "build_results_grid",
-               "run_verification", "stage_series"),
+    "report": ("build_results_grid", "run_verification", "stage_series"),
     "stages": ("realization_probability", "stage_attack_probabilities",
                "stage_attack_probability", "stage_forward_probabilities"),
-    "chain": ("MarkovChain", "SimulationReport", "build_chain", "hit_probability_within",
+    "chain": ("MarkovChain", "build_chain", "hit_probability_within",
               "mean_time_to_compromise", "simulate", "validate_stochastic"),
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}

@@ -20,7 +20,7 @@ from itertools import accumulate
 import numpy as np
 
 from .config import AnalysisConfig
-from .errors import NumericalError, UnreachableTargetError
+from .errors import NumericalError, UnreachableTargetError, _check_types
 from .model import AttackPath, ThreatModel
 from .stages import _chain_rows, _forward_entries
 
@@ -203,6 +203,7 @@ def _hit_within(chain: MarkovChain, horizon: int) -> tuple[float, float | None]:
     """(P(T <= horizon), E[T | T <= horizon]) from one first-passage
     pass, T the first-passage time from S_0.  The second is what a
     simulation's ``mean_ttc`` estimates; None when P is 0."""
+    _check_types({"horizon": horizon}, horizon=int)
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     cdf = _first_passage_cdf(chain, horizon)
@@ -307,11 +308,13 @@ def simulate(
     results or the speed; no thread is started.
 
     Raises:
-        ValueError: trials < 1 or > 2**63 - 1 (the walk counts are
-            int64), horizon < 1, negative seed, workers < 1, or a row
+        ValueError: an argument that is not an int (a bool is not one),
+            trials < 1 or > 2**63 - 1 (the walk counts are int64),
+            horizon < 1, negative seed, workers < 1, or a row
             ``multinomial`` refuses (see ``_draw_probabilities``).
         MemoryError: the hit-time samples do not fit in memory.
     """
+    _check_types(locals(), trials=int, horizon=int, seed=int, workers=int)
     if not 1 <= trials < 2**63:
         raise ValueError(f"trials must be in [1, 2**63 - 1], got {trials}")
     if horizon < 1:

@@ -92,13 +92,13 @@ def _load_model(args) -> ThreatModel:
 
 
 def _effective_config(model: ThreatModel, args) -> AnalysisConfig:
-    """The model's config with the common override flags applied; a
-    flag left unset (None) keeps the model's value."""
+    """The model's config with the override flags the command offers
+    applied; a flag left unset (None) keeps the model's value."""
     changes = {
         field: getattr(args, field)
         for field in ("score_set", "defence_probability", "exponent_coefficient",
                       "defence_on_final_stage")
-        if getattr(args, field) is not None
+        if getattr(args, field, None) is not None
     }
     return replace(model.config, **changes) if changes else model.config
 
@@ -381,17 +381,20 @@ def _build_parser() -> _Parser:
                         help="output format (default: table)")
     common.add_argument("--score-set", dest="score_set", metavar="NAME",
                         help="score source: a named score set or 'formula'")
-    common.add_argument("--d", dest="defence_probability", type=float, metavar="PROB",
-                        help="override the defence probability")
-    common.add_argument("--k", dest="exponent_coefficient", type=float, metavar="REAL",
-                        help="override the exponent coefficient")
-    common.add_argument("--defence-on-final", dest="defence_on_final_stage",
-                        action="store_true", default=None,
-                        help="gate the final stage by (1 - d) as well")
 
+    # Each group's flags go only to the commands that read them.
     indexed = _Parser(add_help=False)  # the commands that build a path's stages
     indexed.add_argument("--first-index", dest="first_index", type=int, metavar="N",
                          help="override the first stage index")
+    tuned = _Parser(add_help=False)  # the commands that derive stage probabilities
+    tuned.add_argument("--d", dest="defence_probability", type=float, metavar="PROB",
+                       help="override the defence probability")
+    tuned.add_argument("--k", dest="exponent_coefficient", type=float, metavar="REAL",
+                       help="override the exponent coefficient")
+    gated = _Parser(add_help=False)  # the commands that use forward probabilities
+    gated.add_argument("--defence-on-final", dest="defence_on_final_stage",
+                       action="store_true", default=None,
+                       help="gate the final stage by (1 - d) as well")
 
     parser = _Parser(prog="riskctl",
                      description="Quantitative attack-path security verification.")
@@ -405,19 +408,19 @@ def _build_parser() -> _Parser:
                    help="total column source: named set or 'formula' (default: config)")
     p.set_defaults(func=_cmd_score)
 
-    p = sub.add_parser("path", parents=[common, indexed],
+    p = sub.add_parser("path", parents=[common, tuned, gated, indexed],
                        help="stage probabilities and realization probability for a path")
     p.add_argument("--id", required=True, help="attack path id")
     p.set_defaults(func=_cmd_path)
 
-    p = sub.add_parser("matrix", parents=[common, indexed],
+    p = sub.add_parser("matrix", parents=[common, tuned, indexed],
                        help="transition matrix for a path's chain")
     p.add_argument("--id", required=True, help="attack path id")
     p.add_argument("--round", type=int, metavar="N",
                    help="round displayed entries to N decimals (table format only)")
     p.set_defaults(func=_cmd_matrix)
 
-    p = sub.add_parser("simulate", parents=[common, indexed],
+    p = sub.add_parser("simulate", parents=[common, tuned, indexed],
                        help="seeded Monte Carlo first-passage simulation")
     p.add_argument("--id", required=True, help="attack path id")
     p.add_argument("--trials", type=int, default=10000)
@@ -428,13 +431,13 @@ def _build_parser() -> _Parser:
                         "or speed, and no thread is started")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("report", parents=[common, indexed],
+    p = sub.add_parser("report", parents=[common, tuned, gated, indexed],
                        help="attacker/origin realization grid (and stage series)")
     p.add_argument("--series", action="store_true",
                    help="also emit per-path stage series (csv: series only)")
     p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[common, tuned, gated],
                        help="run the built-in reproduction checks")
     p.set_defaults(func=_cmd_verify)
     return parser

@@ -7,10 +7,12 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .cvss import Rounding
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, _check_types
 
 # Source name that means "compute totals from the model's vectors".
 FORMULA_SOURCE = "formula"
+
+_NUMBER = (float, int)
 
 
 class ProbabilityLaw(Enum):
@@ -45,13 +47,17 @@ class AnalysisConfig:
     rounding: Rounding = Rounding.PAPER
 
     def __post_init__(self):
+        _check_types(vars(self), exponent_coefficient=_NUMBER, normalization=_NUMBER,
+                     probability_law=ProbabilityLaw, defence_on_final_stage=bool,
+                     score_set=str, rounding=Rounding)
         d = self.defence_probability
         values = d if isinstance(d, tuple) else (d,)
         if not values:
             raise InvalidConfigError(
                 "defence probability tuple must be non-empty", "defence_probability"
             )
-        for value in values:
+        for value in values:  # d, or each entry of a tuple
+            _check_types({"defence_probability": value}, defence_probability=_NUMBER)
             if not 0.0 <= value <= 1.0:
                 raise InvalidConfigError(
                     f"defence probability {value} outside [0, 1]", "defence_probability"

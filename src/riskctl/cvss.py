@@ -25,7 +25,7 @@ from enum import Enum
 from types import MappingProxyType
 from typing import Any, Mapping
 
-from .errors import IncompleteVectorError, UnknownLabelError
+from .errors import NotFoundError
 
 # Parameter short codes, in canonical order: base metrics (with the
 # impact-bias selector IB), temporal metrics, environmental metrics.
@@ -153,21 +153,21 @@ def lookup_weight(
     """Return the weight for ``(parameter, label)``.
 
     Raises:
-        UnknownLabelError: if the parameter has no such label, or the
+        NotFoundError: if the parameter has no such label, or the
             parameter itself is not in the table.  IB is rejected here;
             use :func:`impact_bias_weights` for the bias triples.
     """
     if parameter == "IB":
-        raise UnknownLabelError(
+        raise NotFoundError(
             "IB selects a bias triple, not a scalar weight; use impact_bias_weights"
         )
     labels = table.weights.get(parameter)
     if labels is None:
-        raise UnknownLabelError(f"unknown parameter {parameter!r}")
+        raise NotFoundError(f"unknown parameter {parameter!r}")
     try:
         return labels[label]
     except KeyError:
-        raise UnknownLabelError(
+        raise NotFoundError(
             f"label {label!r} is not defined for parameter {parameter}"
         ) from None
 
@@ -179,13 +179,13 @@ def impact_bias_weights(
     try:
         return table.impact_bias[bias]
     except KeyError:
-        raise UnknownLabelError(f"label {bias!r} is not defined for parameter IB") from None
+        raise NotFoundError(f"label {bias!r} is not defined for parameter IB") from None
 
 
 def _require_complete(vector: CvssVector) -> None:
     missing = [p for p in PARAMETERS if not vector.label(p)]
     if missing:
-        raise IncompleteVectorError(f"vector missing parameters: {', '.join(missing)}")
+        raise NotFoundError(f"vector missing parameters: {', '.join(missing)}")
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +213,7 @@ def score_breakdown(
     Under ``Rounding.PAPER`` each component is then rounded half-up to
     one decimal and the total is the sum of the rounded components;
     under ``Rounding.RAW`` the total is the exact sum.  Labels are
-    looked up in ``PARAMETERS`` order, so an ``UnknownLabelError`` names
+    looked up in ``PARAMETERS`` order, so a ``NotFoundError`` names
     the first one the table lacks.
     """
     _require_complete(vector)

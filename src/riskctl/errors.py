@@ -1,4 +1,4 @@
-"""Exception types shared across the riskctl package."""
+"""Exception types shared across the riskctl package, and the one type check."""
 
 from __future__ import annotations
 
@@ -7,24 +7,10 @@ class RiskctlError(Exception):
     """Base class for all riskctl errors."""
 
 
-class UnknownLabelError(RiskctlError):
-    """A label code is not defined for the requested parameter."""
-
-
-class IncompleteVectorError(RiskctlError):
-    """A scoring vector is missing one or more parameters."""
-
-
-class UnknownScoreSetError(RiskctlError):
-    """A score source name does not match any score set in the model."""
-
-
-class MissingVectorError(RiskctlError):
-    """Formula-based scoring was requested but the model carries no vectors."""
-
-
-class UnknownPathError(RiskctlError):
-    """An attack-path id does not exist in the model."""
+class NotFoundError(RiskctlError):
+    """A lookup found nothing: a parameter or label of the weight table,
+    a vector's label, a score set, a vector, an attack path or a view
+    domain."""
 
 
 class InvalidConfigError(RiskctlError, ValueError):
@@ -42,8 +28,16 @@ class InvalidConfigError(RiskctlError, ValueError):
         self.field = field
 
 
-class EmptyPathError(InvalidConfigError):
-    """An attack path has no stages."""
+def _check_types(values: dict, **types) -> None:
+    """Refuse, naming it, a value in ``values`` (a value object's
+    ``vars`` or a function's arguments) that is not of its type in
+    ``types``, a class or a tuple of them; a bool is of no type but
+    bool (``True`` is an int)."""
+    for name, kind in types.items():
+        value, kinds = values[name], kind if isinstance(kind, tuple) else (kind,)
+        if not isinstance(value, kinds) or isinstance(value, bool) and bool not in kinds:
+            what = " or ".join(k.__name__ for k in kinds)
+            raise InvalidConfigError(f"{name}: expected {what}, got {value!r}", name)
 
 
 class UnreachableTargetError(RiskctlError):

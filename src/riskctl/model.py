@@ -31,12 +31,10 @@ from .cvss import (
 )
 from .errors import (
     DocumentSyntaxError,
-    EmptyPathError,
     InvalidConfigError,
-    MissingVectorError,
-    UnknownPathError,
-    UnknownScoreSetError,
+    NotFoundError,
     ValidationError,
+    _check_types,
 )
 
 
@@ -102,15 +100,6 @@ class Attacker(Enum):
     UNAUTHORIZED = "unauthorized"
 
 
-def _check_types(owner, **types) -> None:
-    """Refuse a field of ``owner`` that is not of its type in ``types``;
-    a bool is none of them (``True`` is an int)."""
-    for name, kind in types.items():
-        value = getattr(owner, name)
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise InvalidConfigError(f"expected {kind.__name__}, got {value!r}", name)
-
-
 @dataclass(frozen=True)
 class AttackStage:
     """One step of an attack path: where it happens and what it targets."""
@@ -120,7 +109,8 @@ class AttackStage:
     description: str
 
     def __post_init__(self):
-        _check_types(self, ref_domain=ReferenceDomain, view_domain=ViewDomain, description=str)
+        _check_types(vars(self), ref_domain=ReferenceDomain, view_domain=ViewDomain,
+                     description=str)
         if not self.description:
             raise InvalidConfigError("description must be non-empty", "description")
 
@@ -148,7 +138,7 @@ class AttackPath:
     origin_aliases: tuple[ReferenceDomain, ...] = ()
 
     def __post_init__(self):
-        _check_types(self, id=str, attacker=Attacker, origin=ReferenceDomain,
+        _check_types(vars(self), id=str, attacker=Attacker, origin=ReferenceDomain,
                      first_stage_index=int)
         for i, alias in enumerate(self.origin_aliases):
             if not isinstance(alias, ReferenceDomain):
@@ -160,7 +150,7 @@ class AttackPath:
             raise InvalidConfigError(
                 f"index must be >= 1, got {self.first_stage_index}", "first_stage_index")
         if not self.stages:
-            raise EmptyPathError("stages must be a non-empty array", "stages")
+            raise InvalidConfigError("stages must be a non-empty array", "stages")
 
     @property
     def origins(self) -> tuple[ReferenceDomain, ...]:
@@ -179,6 +169,7 @@ class ScoreSet:
     totals: Mapping[ViewDomain, float]
 
     def __post_init__(self):
+        _check_types(vars(self), name=str)
         if not self.name or self.name == FORMULA_SOURCE:
             raise InvalidConfigError(f"reserved or empty score-set name {self.name!r}")
         missing = [d.code for d in ViewDomain if d not in self.totals]
@@ -194,8 +185,9 @@ class ScoreSet:
 
     @staticmethod
     def valid_score(value: float) -> bool:
-        """A domain score is finite and non-negative."""
-        return 0.0 <= value < math.inf
+        """A domain score is a finite, non-negative number (not a bool)."""
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and 0.0 <= value < math.inf)
 
 
 @dataclass(frozen=True)
@@ -238,7 +230,7 @@ class ThreatModel:
         for p in self.paths:
             if p.id == path_id:
                 return p
-        raise UnknownPathError(f"no path with id {path_id!r}")
+        raise NotFoundError(f"no path with id {path_id!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +249,12 @@ def resolve_score(
     domain (rounding defaults to the model config).  ``source`` defaults
     to the model config's score-set selection.
     """
+    if not isinstance(domain, ViewDomain):
+        raise NotFoundError(f"no view domain {domain!r}")
     source = source if source is not None else model.config.score_set
     if source == FORMULA_SOURCE:
         if not model.vectors or domain not in model.vectors:
-            raise MissingVectorError(
+            raise NotFoundError(
                 f"formula scoring requested but model has no vector for {domain.code}"
             )
         mode = rounding if rounding is not None else model.config.rounding
@@ -268,7 +262,7 @@ def resolve_score(
     try:
         score_set = model.score_sets[source]
     except KeyError:
-        raise UnknownScoreSetError(f"no score set named {source!r}") from None
+        raise NotFoundError(f"no score set named {source!r}") from None
     return score_set.totals[domain]
 
 

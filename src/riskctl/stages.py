@@ -22,6 +22,7 @@ import math
 import warnings
 
 from .config import AnalysisConfig, ProbabilityLaw
+from .errors import _check_types
 from .model import AttackPath, ScoreSet, ThreatModel, resolve_score
 
 
@@ -36,12 +37,14 @@ def stage_attack_probability(
     0.0 even when ``k * i`` overflows, and an index past the float range
     gives the limit 1.0 for a positive score.  ``config`` needs
     no check here: every ``AnalysisConfig`` was checked when it was
-    built, so this never raises ``InvalidConfigError``.
+    built.
 
     Raises:
-        ValueError: stage_index < 1, or a score that is not a valid
-            domain score (see ``ScoreSet.valid_score``).
+        ValueError: a stage_index that is not an int or is < 1, or a
+            score that is not a valid domain score (see
+            ``ScoreSet.valid_score``).
     """
+    _check_types({"stage_index": stage_index}, stage_index=int)
     if stage_index < 1:
         raise ValueError(f"stage index must be >= 1, got {stage_index}")
     if not ScoreSet.valid_score(score):

@@ -19,6 +19,7 @@ from riskctl import (
     ThreatModel,
     ViewDomain,
     build_chain,
+    build_results_grid,
     hit_probability_within,
     mean_time_to_compromise,
     realization_probability,
@@ -30,12 +31,8 @@ from riskctl import (
 )
 from riskctl import stages
 from riskctl.chain import _first_passage_cdf, _hit_within, _moves, _step
-from riskctl.errors import (
-    EmptyPathError,
-    InvalidConfigError,
-    NumericalError,
-    UnreachableTargetError,
-)
+from riskctl.errors import InvalidConfigError, NumericalError, UnreachableTargetError
+from riskctl.report import _grid
 
 # Reference forward probabilities and realization values for the
 # built-in paths under the default configuration.
@@ -218,7 +215,7 @@ class TestStageForwardProbabilities:
 
     def test_empty_path(self):
         # An empty path is refused when it is built, before any stage is derived.
-        with pytest.raises(EmptyPathError, match="stages must be a non-empty array"):
+        with pytest.raises(InvalidConfigError, match="stages must be a non-empty array"):
             AttackPath(id="x", attacker=Attacker.UNAUTHORIZED,
                        origin=ReferenceDomain.CLOUD, stages=())
 
@@ -273,6 +270,31 @@ class TestRealizationProbability:
             )
 
 
+def expected_grid(model, config=None):
+    """The results grid over each path's product of forward probabilities."""
+    return _grid(model, [math.prod(stage_forward_probabilities(path, model, config))
+                         for path in model.paths])
+
+
+class TestBuildResultsGrid:
+    @pytest.mark.parametrize(
+        "changes",
+        [{}, {"defence_probability": 0.3, "defence_on_final_stage": True},
+         {"score_set": "formula", "exponent_coefficient": 1.0}],
+        ids=["default", "gated-final", "formula"],
+    )
+    def test_built_in_model(self, model, changes):
+        config = replace(model.config, **changes)
+        assert build_results_grid(model, config) == expected_grid(model, config)
+
+    def test_aliases_and_shared_cells_keep_model_order(self, model):
+        grid = build_results_grid(model)
+        cloud = grid[(Attacker.AUTHORIZED, ReferenceDomain.CLOUD)]
+        assert cloud == grid[(Attacker.AUTHORIZED, ReferenceDomain.INFRA_EDGE)]
+        shared = grid[(Attacker.UNAUTHORIZED, ReferenceDomain.INFRA_EDGE)]
+        assert [cell.path_id for cell in shared] == ["2a", "2b"]
+
+
 class TestBuildChain:
     def test_legacy_configuration(self, model):
         path = replace(model.path("3"), first_stage_index=2)
@@ -319,7 +341,7 @@ class TestBuildChain:
 
     def test_empty_path(self, model):
         # No chain can be asked for an empty path: emptying one fails.
-        with pytest.raises(EmptyPathError, match="stages must be a non-empty array"):
+        with pytest.raises(InvalidConfigError, match="stages must be a non-empty array"):
             replace(model.path("1"), stages=())
 
 

@@ -611,6 +611,53 @@ class TestFirstIndexFlag:
         assert out == "" and "unrecognized arguments: --first-index 2" in err
 
 
+# The commands that read each override flag, and what it sets.
+DERIVING = ["path", "matrix", "simulate", "report", "verify"]
+FLAG_READERS = {
+    ("--d", "0.3"): ("defence_probability", 0.3, DERIVING),
+    ("--k", "3"): ("exponent_coefficient", 3.0, DERIVING),
+    ("--defence-on-final",): ("defence_on_final_stage", True, ["path", "report", "verify"]),
+}
+COMMANDS = {"score": [], "path": ["--id", "1"], "matrix": ["--id", "1"],
+            "simulate": ["--id", "1"], "report": [], "verify": []}
+
+
+class TestFlagsOnlyWhereRead:
+    @pytest.mark.parametrize("flag", FLAG_READERS, ids=lambda flag: flag[0])
+    def test_offered_where_read(self, flag):
+        dest, value, commands = FLAG_READERS[flag]
+        for command in commands:
+            args = cli._build_parser().parse_args([command, *COMMANDS[command], *flag])
+            assert getattr(args, dest) == value, command
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(command, flag) for flag, (_, _, readers) in FLAG_READERS.items()
+         for command in COMMANDS if command not in readers
+         and (command, flag[0]) != ("score", "--d")],  # --domain there, below
+    )
+    def test_usage_error_where_unread(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as info:
+            main([command, *COMMANDS[command], *flag])
+        assert info.value.code == 1
+        out, err = capsys.readouterr()
+        usage, error = err.splitlines()
+        assert out == "" and usage.startswith("usage: riskctl ")
+        assert error == f"riskctl: error: unrecognized arguments: {' '.join(flag)}"
+
+    def test_score_takes_d_for_its_domain_flag(self, capsys):
+        # argparse reads an unambiguous prefix as the flag it abbreviates.
+        code, out, err = run(capsys, "score", "--d", "0.5")
+        assert code == 1 and out == ""
+        assert err == "riskctl: error: unknown domain '0.5'\n"
+
+    def test_defence_on_final_gates_the_last_stage(self, capsys):
+        _, plain, _ = run(capsys, "path", "--id", "1", "--format", "json")
+        _, gated, _ = run(capsys, "path", "--id", "1", "--defence-on-final", "--format", "json")
+        last = [json.loads(out)["stages"][-1] for out in (plain, gated)]
+        assert last[1]["forward_prob"] == pytest.approx(last[0]["forward_prob"] * 0.9)
+
+
 class TestUnreadableDocuments:
     @pytest.mark.parametrize(
         "text",

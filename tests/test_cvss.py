@@ -18,7 +18,7 @@ from riskctl.cvss import (
     round_half_up,
     score_breakdown,
 )
-from riskctl.errors import IncompleteVectorError, UnknownLabelError
+from riskctl.errors import NotFoundError
 
 # The four built-in view-domain vectors.
 DATA = CvssVector(av="R", ac="H", a="N", ci="P", ii="C", ai="P", ib="I",
@@ -56,15 +56,15 @@ class TestLookupWeight:
         assert lookup_weight("CDP", "N") == 0.0
 
     def test_unknown_label(self):
-        with pytest.raises(UnknownLabelError):
+        with pytest.raises(NotFoundError, match="label 'X' is not defined for parameter AC"):
             lookup_weight("AC", "X")
 
     def test_unknown_parameter(self):
-        with pytest.raises(UnknownLabelError):
+        with pytest.raises(NotFoundError, match="unknown parameter 'ZZ'"):
             lookup_weight("ZZ", "L")
 
     def test_ib_is_not_scalar(self):
-        with pytest.raises(UnknownLabelError):
+        with pytest.raises(NotFoundError, match="IB selects a bias triple, not a scalar weight"):
             lookup_weight("IB", "N")
 
 
@@ -88,7 +88,7 @@ class TestImpactBiasWeights:
             assert sum(impact_bias_weights(bias)) == pytest.approx(1.0, abs=1e-12)
 
     def test_unknown(self):
-        with pytest.raises(UnknownLabelError):
+        with pytest.raises(NotFoundError, match="label 'X' is not defined for parameter IB"):
             impact_bias_weights("X")
 
 
@@ -112,7 +112,7 @@ class TestBaseScore:
     def test_incomplete_vector(self):
         vector = CvssVector(av="", ac="H", a="N", ci="P", ii="C", ai="P", ib="I",
                             e="PoC", rl="TF", rc="UCB", cdp="H", td="M")
-        with pytest.raises(IncompleteVectorError):
+        with pytest.raises(NotFoundError, match="vector missing parameters: AV"):
             raw(vector)
 
 
@@ -186,7 +186,7 @@ class TestScoreBreakdown:
     )
     def test_first_unknown_label_in_parameter_order(self, labels, reported):
         vector = CvssVector(**{**DATA.to_dict(), **labels})
-        with pytest.raises(UnknownLabelError, match=reported):
+        with pytest.raises(NotFoundError, match=reported):
             raw(vector)
 
     def test_temporal_never_exceeds_base(self):

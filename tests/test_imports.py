@@ -8,9 +8,11 @@ its home module on first use.  Each check runs in a fresh interpreter,
 because this test process has numpy loaded already.
 """
 
+import ast
 import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +23,7 @@ import riskctl
 from riskctl import builtin_paper_model, serialize_model
 
 SRC = str(Path(riskctl.__file__).resolve().parent.parent)
+ROOT = Path(__file__).resolve().parent.parent
 HEAVY = ("numpy", "riskctl.chain")
 
 
@@ -114,3 +117,22 @@ def test_the_name_table_lists_each_name_once_under_its_home():
         home = importlib.import_module(f"riskctl.{module}")
         for name in names:
             assert getattr(riskctl, name) is getattr(home, name), name
+
+
+def test_names_the_harness_demos_and_acceptance_suite_import_are_public():
+    # Dropping a name from the table must not break the benchmark
+    # harness, the demos or the acceptance suite, which import from
+    # riskctl public names and submodules (``from riskctl import cli``).
+    modules = {module.name for module in pkgutil.iter_modules(riskctl.__path__)}
+    files = [*sorted(ROOT.glob("perfbench/*.py")), *sorted(ROOT.glob("demos/*.py")),
+             ROOT / "tests" / "test_acceptance.py"]
+    imported = {
+        (path.relative_to(ROOT).as_posix(), alias.name)
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.module == "riskctl" and not node.level
+        for alias in node.names
+    }
+    assert {path for path, _ in imported} >= {"perfbench/workloads.py", "tests/test_acceptance.py"}
+    unknown = [item for item in sorted(imported) if item[1] not in {*riskctl.__all__, *modules}]
+    assert unknown == []

@@ -16,20 +16,21 @@ from riskctl import (
     ScoreSet,
     ThreatModel,
     ViewDomain,
+    build_chain,
     builtin_paper_model,
+    hit_probability_within,
     paper_model_document,
     parse_model,
     resolve_score,
     serialize_model,
+    simulate,
+    stage_attack_probability,
 )
 from riskctl.errors import (
     DocumentError,
     DocumentSyntaxError,
-    EmptyPathError,
     InvalidConfigError,
-    MissingVectorError,
-    UnknownPathError,
-    UnknownScoreSetError,
+    NotFoundError,
     ValidationError,
 )
 
@@ -74,7 +75,7 @@ class TestBuiltinModel:
         assert path.origins == (ReferenceDomain.CLOUD, ReferenceDomain.INFRA_EDGE)
 
     def test_unknown_path(self, model):
-        with pytest.raises(UnknownPathError):
+        with pytest.raises(NotFoundError, match="no path with id '99'"):
             model.path("99")
 
     def test_stage_codes(self, model):
@@ -105,12 +106,14 @@ class TestResolveScore:
                 assert resolve_score(model, domain, name) >= 0.0
 
     def test_unknown_set(self, model):
-        with pytest.raises(UnknownScoreSetError):
+        with pytest.raises(NotFoundError, match="no score set named 'nope'"):
             resolve_score(model, ViewDomain.DATA, "nope")
 
     def test_formula_without_vectors(self, model):
         stripped = replace(model, vectors=None)
-        with pytest.raises(MissingVectorError):
+        with pytest.raises(
+            NotFoundError, match="formula scoring requested but model has no vector for data"
+        ):
             resolve_score(stripped, ViewDomain.DATA, "formula")
 
 
@@ -394,9 +397,8 @@ class TestModelRulesLiveInTheValueObjects:
         assert str(library.value) == document.value.reason
 
     def test_empty_path_error_is_a_config_error(self):
-        with pytest.raises(EmptyPathError) as info:
+        with pytest.raises(InvalidConfigError, match="stages must be a non-empty array") as info:
             _minimal_path(stages=())
-        assert isinstance(info.value, InvalidConfigError)
         assert info.value.field == "stages"
 
     def test_duplicate_id_names_the_second_path(self):
@@ -548,3 +550,84 @@ class TestRangeErrorsKeepFieldPaths:
         with pytest.raises(ValidationError) as info:
             parse_model(json.dumps(doc))
         assert info.value.path == "score_sets.default"
+
+
+def _simulate(model, **changes):
+    chain = build_chain(model.path("1"), model)
+    return simulate(chain, **{"trials": 100, "horizon": 10, **changes})
+
+
+def _hit_within(model, horizon):
+    return hit_probability_within(build_chain(model.path("1"), model), horizon)
+
+
+def _config(**changes):
+    return replace(AnalysisConfig(), **changes)
+
+
+_TOTALS = dict.fromkeys(ViewDomain, 1.0)
+
+# Inputs that were once accepted and then ignored or misread: (build
+# from the built-in model, error class, message).  InvalidConfigError is
+# a ValueError, the class simulate's and the stage functions' docstrings name.
+REFUSED = [
+    pytest.param(lambda m: _config(probability_law="linear"), InvalidConfigError,
+                 "probability_law: expected ProbabilityLaw, got 'linear'", id="law-string"),
+    pytest.param(lambda m: _config(rounding="paper"), InvalidConfigError,
+                 "rounding: expected Rounding, got 'paper'", id="rounding-string"),
+    pytest.param(lambda m: _config(defence_on_final_stage="no"), InvalidConfigError,
+                 "defence_on_final_stage: expected bool, got 'no'", id="final-string"),
+    pytest.param(lambda m: _config(defence_probability=True), InvalidConfigError,
+                 "defence_probability: expected float or int, got True", id="d-bool"),
+    pytest.param(lambda m: _config(defence_probability=(0.1, True)), InvalidConfigError,
+                 "defence_probability: expected float or int, got True", id="d-tuple-bool"),
+    pytest.param(lambda m: _config(defence_probability=[0.1]), InvalidConfigError,
+                 r"defence_probability: expected float or int, got \[0.1\]", id="d-list"),
+    pytest.param(lambda m: _config(exponent_coefficient=True), InvalidConfigError,
+                 "exponent_coefficient: expected float or int, got True", id="k-bool"),
+    pytest.param(lambda m: _config(normalization="42.5"), InvalidConfigError,
+                 "normalization: expected float or int, got '42.5'", id="norm-string"),
+    pytest.param(lambda m: _config(score_set=5), InvalidConfigError,
+                 "score_set: expected str, got 5", id="score-set-int"),
+    pytest.param(lambda m: ScoreSet(5, _TOTALS), InvalidConfigError,
+                 "name: expected str, got 5", id="score-set-name"),
+    pytest.param(lambda m: ScoreSet("s", {**_TOTALS, ViewDomain.DATA: True}), InvalidConfigError,
+                 "score set 's' data = True, expected a finite number >= 0", id="total-bool"),
+    pytest.param(lambda m: resolve_score(m, "data"), NotFoundError,
+                 "no view domain 'data'", id="resolve-string"),
+    pytest.param(lambda m: resolve_score(m, "data", "formula"), NotFoundError,
+                 "no view domain 'data'", id="resolve-string-formula"),
+    pytest.param(lambda m: _hit_within(m, True), ValueError,
+                 "horizon: expected int, got True", id="hit-horizon-bool"),
+    pytest.param(lambda m: _hit_within(m, 2.0), ValueError,
+                 "horizon: expected int, got 2.0", id="hit-horizon-float"),
+    pytest.param(lambda m: _simulate(m, trials=True), ValueError,
+                 "trials: expected int, got True", id="trials-bool"),
+    pytest.param(lambda m: _simulate(m, trials=2.0), ValueError,
+                 "trials: expected int, got 2.0", id="trials-float"),
+    pytest.param(lambda m: _simulate(m, horizon=True), ValueError,
+                 "horizon: expected int, got True", id="horizon-bool"),
+    pytest.param(lambda m: _simulate(m, seed=True), ValueError,
+                 "seed: expected int, got True", id="seed-bool"),
+    pytest.param(lambda m: _simulate(m, workers=True), ValueError,
+                 "workers: expected int, got True", id="workers-bool"),
+    pytest.param(lambda m: stage_attack_probability(1.5, 5.0, AnalysisConfig()), ValueError,
+                 "stage_index: expected int, got 1.5", id="stage-index-float"),
+    pytest.param(lambda m: stage_attack_probability(True, 5.0, AnalysisConfig()), ValueError,
+                 "stage_index: expected int, got True", id="stage-index-bool"),
+    pytest.param(lambda m: stage_attack_probability(1, True, AnalysisConfig()), ValueError,
+                 "score must be finite and >= 0, got True", id="score-bool"),
+]
+
+
+class TestWrongTypesAreRefused:
+    @pytest.mark.parametrize("build, error, message", REFUSED)
+    def test_refused_with_its_name(self, model, build, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            build(model)
+
+    def test_numbers_of_either_type_and_default_values_stay_accepted(self):
+        config = AnalysisConfig(defence_probability=(0, 0.5), exponent_coefficient=1,
+                                normalization=40, defence_on_final_stage=True)
+        assert config.defence_at(1) == 0
+        assert ScoreSet("s", dict.fromkeys(ViewDomain, 0)).totals[ViewDomain.DATA] == 0

@@ -31,6 +31,7 @@ from riskctl import (
     ViewDomain,
     WeightTable,
     build_chain,
+    build_results_grid,
     builtin_paper_model,
     hit_probability_within,
     mean_time_to_compromise,
@@ -38,9 +39,11 @@ from riskctl import (
     serialize_model,
     simulate,
     stage_attack_probabilities,
+    stage_forward_probabilities,
 )
 from riskctl.chain import _first_passage_cdf
 from riskctl.cli import main
+from riskctl.report import _grid
 from riskctl.stages import _chain_rows
 
 
@@ -310,6 +313,20 @@ class TestGeneratedModels:
         # serialize_model never writes a document that parse_model refuses.
         if not isinstance(model, InvalidConfigError):
             assert parse_model(serialize_model(model)) == model
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(model=generated_models(), d=st.floats(0.0, 1.0), final=st.booleans())
+    def test_results_grid(self, model, d, final):
+        # A second path on the same origins shares every cell, after the first.
+        path = model.paths[0]
+        model = replace(model, paths=(path, replace(
+            path, id="h", first_stage_index=path.first_stage_index + 1)))
+        config = replace(model.config, defence_probability=d, defence_on_final_stage=final)
+        grid = build_results_grid(model, config)
+        assert grid == _grid(model, [math.prod(stage_forward_probabilities(p, model, config))
+                                     for p in model.paths])
+        assert set(grid) == {(path.attacker, origin) for origin in path.origins}
+        assert all([cell.path_id for cell in cells] == ["g", "h"] for cells in grid.values())
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(model=generated_models())
