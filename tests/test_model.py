@@ -561,33 +561,30 @@ def _hit_within(model, horizon):
     return hit_probability_within(build_chain(model.path("1"), model), horizon)
 
 
-def _config(**changes):
-    return replace(AnalysisConfig(), **changes)
-
-
 _TOTALS = dict.fromkeys(ViewDomain, 1.0)
 
-# Inputs that were once accepted and then ignored or misread: (build
-# from the built-in model, error class, message).  InvalidConfigError is
-# a ValueError, the class simulate's and the stage functions' docstrings name.
+# Inputs that used to be accepted and then ignored or misread, or to fail
+# with an error that named nothing: (build from the built-in model, error
+# class, message).  InvalidConfigError is a ValueError, the class that
+# simulate's and the stage functions' docstrings name.
 REFUSED = [
-    pytest.param(lambda m: _config(probability_law="linear"), InvalidConfigError,
+    pytest.param(lambda m: AnalysisConfig(probability_law="linear"), InvalidConfigError,
                  "probability_law: expected ProbabilityLaw, got 'linear'", id="law-string"),
-    pytest.param(lambda m: _config(rounding="paper"), InvalidConfigError,
+    pytest.param(lambda m: AnalysisConfig(rounding="paper"), InvalidConfigError,
                  "rounding: expected Rounding, got 'paper'", id="rounding-string"),
-    pytest.param(lambda m: _config(defence_on_final_stage="no"), InvalidConfigError,
+    pytest.param(lambda m: AnalysisConfig(defence_on_final_stage="no"), InvalidConfigError,
                  "defence_on_final_stage: expected bool, got 'no'", id="final-string"),
-    pytest.param(lambda m: _config(defence_probability=True), InvalidConfigError,
+    pytest.param(lambda m: AnalysisConfig(defence_probability=True), InvalidConfigError,
                  "defence_probability: expected float or int, got True", id="d-bool"),
-    pytest.param(lambda m: _config(defence_probability=(0.1, True)), InvalidConfigError,
+    pytest.param(lambda m: AnalysisConfig(defence_probability=(0.1, True)), InvalidConfigError,
                  "defence_probability: expected float or int, got True", id="d-tuple-bool"),
-    pytest.param(lambda m: _config(defence_probability=[0.1]), InvalidConfigError,
+    pytest.param(lambda m: AnalysisConfig(defence_probability=[0.1]), InvalidConfigError,
                  r"defence_probability: expected float or int, got \[0.1\]", id="d-list"),
-    pytest.param(lambda m: _config(exponent_coefficient=True), InvalidConfigError,
+    pytest.param(lambda m: AnalysisConfig(exponent_coefficient=True), InvalidConfigError,
                  "exponent_coefficient: expected float or int, got True", id="k-bool"),
-    pytest.param(lambda m: _config(normalization="42.5"), InvalidConfigError,
+    pytest.param(lambda m: AnalysisConfig(normalization="42.5"), InvalidConfigError,
                  "normalization: expected float or int, got '42.5'", id="norm-string"),
-    pytest.param(lambda m: _config(score_set=5), InvalidConfigError,
+    pytest.param(lambda m: AnalysisConfig(score_set=5), InvalidConfigError,
                  "score_set: expected str, got 5", id="score-set-int"),
     pytest.param(lambda m: ScoreSet(5, _TOTALS), InvalidConfigError,
                  "name: expected str, got 5", id="score-set-name"),
@@ -626,7 +623,7 @@ class TestWrongTypesAreRefused:
         with pytest.raises(error, match=f"^{message}$"):
             build(model)
 
-    def test_numbers_of_either_type_and_default_values_stay_accepted(self):
+    def test_ints_and_floats_stay_accepted(self):
         config = AnalysisConfig(defence_probability=(0, 0.5), exponent_coefficient=1,
                                 normalization=40, defence_on_final_stage=True)
         assert config.defence_at(1) == 0
