@@ -38,61 +38,38 @@ from .errors import (
 )
 
 
-class ViewDomain(Enum):
+class _Domain(Enum):
+    """A member of one of the paper's two asset dimensions.  It states
+    its document code (its value), its short name and, for a reference
+    domain, its display name, once, beside its own name."""
+
+    def __new__(cls, code: str, short: str, display: str | None = None):
+        member = object.__new__(cls)
+        member._value_, member.short = code, short
+        if display is not None:
+            member.display = display
+        return member
+
+    @property
+    def code(self) -> str:
+        return self.value
+
+
+class ViewDomain(_Domain):
     """The four view-model perspectives an attack stage can target."""
 
-    DATA = "data"
-    SOFTWARE = "software"
-    NETWORKING = "networking"
-    HARDWARE = "hardware"
-
-    @property
-    def code(self) -> str:
-        return self.value
-
-    @property
-    def short(self) -> str:
-        return _VIEW_SHORT[self]
+    DATA = "data", "Data"
+    SOFTWARE = "software", "SW"
+    NETWORKING = "networking", "Net"
+    HARDWARE = "hardware", "HW"
 
 
-_VIEW_SHORT = {
-    ViewDomain.DATA: "Data",
-    ViewDomain.SOFTWARE: "SW",
-    ViewDomain.NETWORKING: "Net",
-    ViewDomain.HARDWARE: "HW",
-}
-
-
-class ReferenceDomain(Enum):
+class ReferenceDomain(_Domain):
     """Where a stage occurs in the infrastructure; does not affect scores."""
 
-    CLOUD = "cloud"
-    INFRA_EDGE = "infra_edge"
-    VEHICLE = "vehicle"
-
-    @property
-    def code(self) -> str:
-        return self.value
-
-    @property
-    def short(self) -> str:
-        return _REF_SHORT[self]
-
-    @property
-    def display(self) -> str:
-        return _REF_DISPLAY[self]
-
-
-_REF_SHORT = {
-    ReferenceDomain.CLOUD: "C",
-    ReferenceDomain.INFRA_EDGE: "I",
-    ReferenceDomain.VEHICLE: "V",
-}
-_REF_DISPLAY = {
-    ReferenceDomain.CLOUD: "Cloud",
-    ReferenceDomain.INFRA_EDGE: "Infra & Edge",
-    ReferenceDomain.VEHICLE: "Vehicle",
-}
+    CLOUD = "cloud", "C", "Cloud"
+    INFRA_EDGE = "infra_edge", "I", "Infra & Edge"
+    VEHICLE = "vehicle", "V", "Vehicle"
 
 
 class Attacker(Enum):
