@@ -29,7 +29,8 @@ from .stages import _chain_rows, _forward_entries
 class MarkovChain:
     """States S_0 .. S_m with a birth-death transition matrix.
 
-    Construction raises :class:`NumericalError` for a non-finite entry,
+    Construction raises :class:`InvalidConfigError` unless ``states``
+    is a tuple of str, and :class:`NumericalError` for a non-finite entry,
     a shape other than (n, n) for n states, or a non-zero entry off the
     three central diagonals (back, stay, forward);
     :func:`validate_stochastic` reports the other rules (entries in
@@ -43,6 +44,7 @@ class MarkovChain:
     stage_probs: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        _check_types(vars(self), states=[str])
         self.matrix = matrix = np.asarray(self.matrix, dtype=float)
         if matrix.ndim != 2 or not np.isfinite(matrix).all():
             raise NumericalError("transition matrix must be a 2-D array of finite entries")

@@ -37,7 +37,11 @@ _SERIES_COLUMNS = [f.name for f in fields(StageSeriesRow)]
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser that exits 1 (not 2) on usage errors."""
+    """Argument parser that exits 1 (not 2) on usage errors and takes
+    each flag only as spelled in full (``--d`` is never ``--domain``)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -31,13 +31,23 @@ class InvalidConfigError(RiskctlError, ValueError):
 def _check_types(values: dict, **types) -> None:
     """Refuse, naming it, a value in ``values`` (a value object's
     ``vars`` or a function's arguments) that is not of its type in
-    ``types``, a class or a tuple of them; a bool is of no type but
-    bool (``True`` is an int)."""
+    ``types``: a class, a tuple of classes, or ``[kind]`` for a tuple
+    whose every item is of ``kind``, an item being named by its index.
+    A bool is of no type but bool (``True`` is an int)."""
     for name, kind in types.items():
-        value, kinds = values[name], kind if isinstance(kind, tuple) else (kind,)
-        if not isinstance(value, kinds) or isinstance(value, bool) and bool not in kinds:
-            what = " or ".join(k.__name__ for k in kinds)
-            raise InvalidConfigError(f"{name}: expected {what}, got {value!r}", name)
+        if isinstance(kind, list):
+            _check_types(values, **{name: tuple})
+            for i, item in enumerate(values[name]):
+                _check_type(item, kind[0], (name, i), "")
+        else:
+            _check_type(values[name], kind, name, f"{name}: ")
+
+
+def _check_type(value, kind, field, prefix: str) -> None:
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if not isinstance(value, kinds) or isinstance(value, bool) and bool not in kinds:
+        what = " or ".join(k.__name__ for k in kinds)
+        raise InvalidConfigError(f"{prefix}expected {what}, got {value!r}", field)
 
 
 class UnreachableTargetError(RiskctlError):

@@ -116,11 +116,8 @@ class AttackPath:
 
     def __post_init__(self):
         _check_types(vars(self), id=str, attacker=Attacker, origin=ReferenceDomain,
-                     first_stage_index=int)
-        for i, alias in enumerate(self.origin_aliases):
-            if not isinstance(alias, ReferenceDomain):
-                raise InvalidConfigError(
-                    f"expected ReferenceDomain, got {alias!r}", ("origin_aliases", i))
+                     stages=[AttackStage], first_stage_index=int,
+                     origin_aliases=[ReferenceDomain])
         if len(set(self.origins)) != len(self.origins):
             raise InvalidConfigError("origin list has duplicates", "origin")
         if self.first_stage_index < 1:
@@ -183,6 +180,7 @@ class ThreatModel:
     weight_table: WeightTable = DEFAULT_WEIGHT_TABLE
 
     def __post_init__(self):
+        _check_types(vars(self), paths=[AttackPath])
         for key, score_set in self.score_sets.items():
             if key != score_set.name:
                 raise InvalidConfigError(

@@ -634,7 +634,7 @@ class TestFlagsOnlyWhereRead:
         "command, flag",
         [(command, flag) for flag, (_, _, readers) in FLAG_READERS.items()
          for command in COMMANDS if command not in readers
-         and (command, flag[0]) != ("score", "--d")],  # --domain there, below
+         and (command, flag[0]) != ("score", "--d")],  # refused below, as an abbreviation
     )
     def test_usage_error_where_unread(self, capsys, command, flag):
         with pytest.raises(SystemExit) as info:
@@ -645,11 +645,23 @@ class TestFlagsOnlyWhereRead:
         assert out == "" and usage.startswith("usage: riskctl ")
         assert error == f"riskctl: error: unrecognized arguments: {' '.join(flag)}"
 
-    def test_score_takes_d_for_its_domain_flag(self, capsys):
-        # argparse reads an unambiguous prefix as the flag it abbreviates.
-        code, out, err = run(capsys, "score", "--d", "0.5")
-        assert code == 1 and out == ""
-        assert err == "riskctl: error: unknown domain '0.5'\n"
+    @pytest.mark.parametrize(
+        "argv, unrecognized",
+        [(["score", "--d", "0.5"], "--d 0.5"),
+         (["score", "--d", "data", "--format", "json"], "--d data"),
+         (["simulate", "--id", "1", "--trial", "5"], "--trial 5")],
+        ids=["score-d-0.5", "score-d-data", "simulate-trial"],
+    )
+    def test_abbreviation_is_refused(self, capsys, argv, unrecognized):
+        # A flag is taken only as spelled in full: in score, --d is not
+        # --domain, and in simulate, --trial is not --trials.
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+        out, err = capsys.readouterr()
+        usage, error = err.splitlines()
+        assert out == "" and usage.startswith("usage: riskctl ")
+        assert error == f"riskctl: error: unrecognized arguments: {unrecognized}"
 
     def test_defence_on_final_gates_the_last_stage(self, capsys):
         _, plain, _ = run(capsys, "path", "--id", "1", "--format", "json")

@@ -10,6 +10,7 @@ from riskctl import (
     Attacker,
     AttackPath,
     AttackStage,
+    MarkovChain,
     ProbabilityLaw,
     ReferenceDomain,
     Rounding,
@@ -47,6 +48,35 @@ MINIMAL_DOC = {
         }
     ],
 }
+
+
+# Each member of the two asset dimensions: (enum, name, code, short, display or None).
+DOMAINS = [
+    (ViewDomain, "DATA", "data", "Data", None),
+    (ViewDomain, "SOFTWARE", "software", "SW", None),
+    (ViewDomain, "NETWORKING", "networking", "Net", None),
+    (ViewDomain, "HARDWARE", "hardware", "HW", None),
+    (ReferenceDomain, "CLOUD", "cloud", "C", "Cloud"),
+    (ReferenceDomain, "INFRA_EDGE", "infra_edge", "I", "Infra & Edge"),
+    (ReferenceDomain, "VEHICLE", "vehicle", "V", "Vehicle"),
+]
+
+
+class TestDomains:
+    def test_each_member_keeps_its_code_and_names(self):
+        for enum, name, code, short, display in DOMAINS:
+            member = enum[name]
+            assert (member.value, member.code, member.short) == (code, code, short)
+            assert enum(code) is member
+            assert repr(member) == f"<{enum.__name__}.{name}: {code!r}>"
+            if display is None:
+                assert not hasattr(member, "display")
+            else:
+                assert member.display == display
+
+    def test_iteration_order(self):
+        for enum in (ViewDomain, ReferenceDomain):
+            assert [m.name for m in enum] == [name for e, name, *_ in DOMAINS if e is enum]
 
 
 class TestBuiltinModel:
@@ -614,6 +644,19 @@ REFUSED = [
                  "stage_index: expected int, got True", id="stage-index-bool"),
     pytest.param(lambda m: stage_attack_probability(1, True, AnalysisConfig()), ValueError,
                  "score must be finite and >= 0, got True", id="score-bool"),
+    pytest.param(lambda m: replace(m.path("1"), stages=list(m.path("1").stages)),
+                 InvalidConfigError, r"stages: expected tuple, got \[AttackStage\(.*\)\]",
+                 id="stages-list"),
+    pytest.param(lambda m: replace(m.path("1"), stages=("a",)), InvalidConfigError,
+                 "expected AttackStage, got 'a'", id="stage-string"),
+    pytest.param(lambda m: replace(m, paths=list(m.paths)), InvalidConfigError,
+                 r"paths: expected tuple, got \[AttackPath\(.*\)\]", id="paths-list"),
+    pytest.param(lambda m: ThreatModel(m.score_sets, paths=(1,)), InvalidConfigError,
+                 "expected AttackPath, got 1", id="path-int"),
+    pytest.param(lambda m: MarkovChain(["a", "b"], [[1, 0], [0, 1]]), InvalidConfigError,
+                 r"states: expected tuple, got \['a', 'b'\]", id="states-list"),
+    pytest.param(lambda m: MarkovChain(("a", 1), [[1, 0], [0, 1]]), InvalidConfigError,
+                 "expected str, got 1", id="state-int"),
 ]
 
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from riskctl import (
     DEFAULT_WEIGHT_TABLE,
+    AnalysisConfig,
     Attacker,
     AttackPath,
     AttackStage,
@@ -300,6 +301,31 @@ def models_or_refusals(draw):
         return exc
 
 
+# Each AnalysisConfig field: (values of its type that the built-in model
+# accepts, values of other types).
+_UNIT = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1]))
+_POSITIVE = st.one_of(st.floats(0.01, 100.0), st.integers(1, 100))
+_CONFIG_FIELDS = {
+    "defence_probability": (st.one_of(_UNIT, st.lists(_UNIT, min_size=4, max_size=6).map(tuple)),
+                            st.sampled_from([True, "0.1", [0.1], (0.1, True), None])),
+    "exponent_coefficient": (_POSITIVE, st.sampled_from([True, "2", (2.0,), None])),
+    "normalization": (_POSITIVE, st.sampled_from([False, "42.5", None])),
+    "probability_law": (st.sampled_from(ProbabilityLaw), st.sampled_from(["linear", 0, None])),
+    "defence_on_final_stage": (st.booleans(), st.sampled_from(["no", 1, None])),
+    "score_set": (st.sampled_from(["paper-published", "legacy", "formula"]),
+                  st.sampled_from([5, b"legacy", None])),
+    "rounding": (st.sampled_from(Rounding), st.sampled_from(["paper", 1, None])),
+}
+
+
+@st.composite
+def config_fields(draw):
+    """Keyword arguments of an AnalysisConfig, a drawn few of them of
+    another type than their field's, and the names of those few."""
+    wrong = draw(st.sets(st.sampled_from(list(_CONFIG_FIELDS)), max_size=3))
+    return {name: draw(values[name in wrong]) for name, values in _CONFIG_FIELDS.items()}, wrong
+
+
 class TestGeneratedModels:
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(model=generated_models())
@@ -313,6 +339,19 @@ class TestGeneratedModels:
         # serialize_model never writes a document that parse_model refuses.
         if not isinstance(model, InvalidConfigError):
             assert parse_model(serialize_model(model)) == model
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(fields=config_fields())
+    def test_config_of_a_wrong_type_is_refused_and_every_other_round_trips(self, fields):
+        values, wrong = fields
+        try:
+            config = AnalysisConfig(**values)
+        except InvalidConfigError as exc:
+            assert exc.field in wrong and str(exc).startswith(f"{exc.field}: expected ")
+            return
+        assert not wrong
+        model = replace(builtin_paper_model(), config=config)
+        assert parse_model(serialize_model(model)) == model
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(model=generated_models(), d=st.floats(0.0, 1.0), final=st.booleans())
