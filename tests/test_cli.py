@@ -42,6 +42,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def usage_error(capsys, *argv):
+    """The error line of a usage error: exit 1, nothing on standard out,
+    and a usage line before it on standard error."""
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 1
+    out, err = capsys.readouterr()
+    usage, error = err.splitlines()
+    assert out == "" and usage.startswith("usage: riskctl ")
+    return error
+
+
 class TestScore:
     def test_default_table(self, capsys):
         code, out, _ = run(capsys, "score")
@@ -637,12 +649,7 @@ class TestFlagsOnlyWhereRead:
          and (command, flag[0]) != ("score", "--d")],  # refused below, as an abbreviation
     )
     def test_usage_error_where_unread(self, capsys, command, flag):
-        with pytest.raises(SystemExit) as info:
-            main([command, *COMMANDS[command], *flag])
-        assert info.value.code == 1
-        out, err = capsys.readouterr()
-        usage, error = err.splitlines()
-        assert out == "" and usage.startswith("usage: riskctl ")
+        error = usage_error(capsys, command, *COMMANDS[command], *flag)
         assert error == f"riskctl: error: unrecognized arguments: {' '.join(flag)}"
 
     @pytest.mark.parametrize(
@@ -655,12 +662,7 @@ class TestFlagsOnlyWhereRead:
     def test_abbreviation_is_refused(self, capsys, argv, unrecognized):
         # A flag is taken only as spelled in full: in score, --d is not
         # --domain, and in simulate, --trial is not --trials.
-        with pytest.raises(SystemExit) as info:
-            main(argv)
-        assert info.value.code == 1
-        out, err = capsys.readouterr()
-        usage, error = err.splitlines()
-        assert out == "" and usage.startswith("usage: riskctl ")
+        error = usage_error(capsys, *argv)
         assert error == f"riskctl: error: unrecognized arguments: {unrecognized}"
 
     def test_defence_on_final_gates_the_last_stage(self, capsys):

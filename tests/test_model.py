@@ -649,6 +649,9 @@ REFUSED = [
                  id="stages-list"),
     pytest.param(lambda m: replace(m.path("1"), stages=("a",)), InvalidConfigError,
                  "expected AttackStage, got 'a'", id="stage-string"),
+    pytest.param(lambda m: replace(m.path("1"), origin_aliases=[ReferenceDomain.VEHICLE]),
+                 InvalidConfigError, r"origin_aliases: expected tuple, got \[<ReferenceDomain.*\]",
+                 id="aliases-list"),
     pytest.param(lambda m: replace(m, paths=list(m.paths)), InvalidConfigError,
                  r"paths: expected tuple, got \[AttackPath\(.*\)\]", id="paths-list"),
     pytest.param(lambda m: ThreatModel(m.score_sets, paths=(1,)), InvalidConfigError,
