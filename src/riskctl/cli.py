@@ -18,7 +18,7 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .config import FORMULA_SOURCE, AnalysisConfig
+from .config import FORMULA_SOURCE
 from .cvss import score_breakdown
 from .errors import RiskctlError, UnreachableTargetError
 from .model import (
@@ -95,35 +95,31 @@ def _load_model(args) -> ThreatModel:
     return parse_model(Path(args.model).read_text(encoding="utf-8"))
 
 
-def _effective_config(model: ThreatModel, args) -> AnalysisConfig:
-    """The model's config with the override flags the command offers
-    applied; a flag left unset (None) keeps the model's value."""
+def _apply_flags(model: ThreatModel, args) -> ThreatModel:
+    """``model`` with the flags the command offers applied: ``--first-index``
+    on every path (checked even when there is none), then the config
+    overrides.  A flag left unset (None) keeps the model's value."""
+    paths = model.paths
+    index = getattr(args, "first_index", None)
+    if index is not None:
+        if index < 1:
+            raise ValueError(f"--first-index must be >= 1, got {index}")
+        paths = tuple(replace(p, first_stage_index=index) for p in paths)
     changes = {
         field: getattr(args, field)
         for field in ("score_set", "defence_probability", "exponent_coefficient",
                       "defence_on_final_stage")
         if getattr(args, field, None) is not None
     }
-    return replace(model.config, **changes) if changes else model.config
-
-
-def _first_index(model: ThreatModel, args) -> ThreatModel:
-    """``model`` with ``--first-index`` (path, matrix, simulate and
-    report only) set on every path; checked even when there is none."""
-    index = getattr(args, "first_index", None)
-    if index is None:
-        return model
-    if index < 1:
-        raise ValueError(f"--first-index must be >= 1, got {index}")
-    return replace(model, paths=tuple(replace(p, first_stage_index=index) for p in model.paths))
+    return replace(model, paths=paths, config=replace(model.config, **changes))
 
 
 # ---------------------------------------------------------------------------
 # score
 # ---------------------------------------------------------------------------
 
-def _cmd_score(args, model: ThreatModel, config: AnalysisConfig) -> int:
-    source = args.source if args.source is not None else config.score_set
+def _cmd_score(args, model: ThreatModel) -> int:
+    source = args.source if args.source is not None else model.config.score_set
 
     if args.domain is None:
         domains = list(ViewDomain)
@@ -135,7 +131,7 @@ def _cmd_score(args, model: ThreatModel, config: AnalysisConfig) -> int:
             return 1
 
     # The named set the formula totals are compared against.
-    reference_set = source if source != FORMULA_SOURCE else config.score_set
+    reference_set = source if source != FORMULA_SOURCE else model.config.score_set
     if reference_set == FORMULA_SOURCE or reference_set not in model.score_sets:
         reference_set = None
 
@@ -146,7 +142,7 @@ def _cmd_score(args, model: ThreatModel, config: AnalysisConfig) -> int:
         breakdown = None
         if model.vectors and domain in model.vectors:
             breakdown = score_breakdown(
-                model.vectors[domain], model.weight_table, config.rounding
+                model.vectors[domain], model.weight_table, model.config.rounding
             )
             entry.update(
                 base=breakdown.base,
@@ -154,7 +150,7 @@ def _cmd_score(args, model: ThreatModel, config: AnalysisConfig) -> int:
                 environmental=breakdown.environmental,
                 formula_total=breakdown.total,
             )
-        entry["total"] = resolve_score(model, domain, source, config.rounding)
+        entry["total"] = resolve_score(model, domain, source)
         if breakdown is not None and reference_set is not None:
             published = model.score_sets[reference_set].totals[domain]
             if abs(breakdown.total - published) > 0.05:
@@ -187,9 +183,9 @@ def _series_rows(rows) -> list[list]:
     return [[getattr(r, column) for column in _SERIES_COLUMNS] for r in rows]
 
 
-def _cmd_path(args, model: ThreatModel, config: AnalysisConfig) -> int:
+def _cmd_path(args, model: ThreatModel) -> int:
     path = model.path(args.id)
-    rows = stage_series(path, model, config)
+    rows = stage_series(path, model)
     series = _series_rows(rows)
     w = math.prod(row.forward_prob for row in rows)  # realization_probability, from the rows
     _emit(
@@ -219,13 +215,13 @@ def _cmd_path(args, model: ThreatModel, config: AnalysisConfig) -> int:
 _MAX_ROUND = 1074
 
 
-def _cmd_matrix(args, model: ThreatModel, config: AnalysisConfig) -> int:
+def _cmd_matrix(args, model: ThreatModel) -> int:
     if args.round is not None and args.round < 0:
         raise ValueError(f"--round must be >= 0, got {args.round}")
     if args.round is not None and args.round > _MAX_ROUND:
         raise ValueError(f"--round must be <= {_MAX_ROUND}, got {args.round}")
     path = model.path(args.id)
-    states, matrix, stage_probs = _chain_rows(path, model, config)
+    states, matrix, stage_probs = _chain_rows(path, model)
     product = math.prod(_forward_entries(matrix))
     header = ["state"] + list(states)
     rows = [[state] + row for state, row in zip(states, matrix)]
@@ -257,11 +253,11 @@ def _z_score(simulated, analytic, se) -> float | None:
     return (simulated - analytic) / se
 
 
-def _cmd_simulate(args, model: ThreatModel, config: AnalysisConfig) -> int:
+def _cmd_simulate(args, model: ThreatModel) -> int:
     from .chain import _hit_within, build_chain, mean_time_to_compromise, simulate
 
     path = model.path(args.id)
-    chain = build_chain(path, model, config)
+    chain = build_chain(path, model)
     report = simulate(chain, trials=args.trials, horizon=args.horizon,
                       seed=args.seed, workers=args.workers)
     analytic_hit, analytic_ttc_within = _hit_within(chain, args.horizon)
@@ -304,8 +300,8 @@ def _grid_cell_text(cells) -> str:
     )
 
 
-def _cmd_report(args, model: ThreatModel, config: AnalysisConfig) -> int:
-    derive = _derivation(model, config)
+def _cmd_report(args, model: ThreatModel) -> int:
+    derive = _derivation(model)
     path_rows = [_series(path, derive) for path in model.paths]
     # W = realization_probability, from each path's rows.
     grid = _grid(model, [math.prod(row.forward_prob for row in rows) for rows in path_rows])
@@ -357,9 +353,7 @@ def _cmd_report(args, model: ThreatModel, config: AnalysisConfig) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _cmd_verify(args, model: ThreatModel, config: AnalysisConfig) -> int:
-    if config != model.config:
-        model = replace(model, config=config)
+def _cmd_verify(args, model: ThreatModel) -> int:
     results = run_verification(model)
     _emit(
         args,
@@ -450,8 +444,7 @@ def _build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        model = _first_index(_load_model(args), args)
-        code = args.func(args, model, _effective_config(model, args))
+        code = args.func(args, _apply_flags(_load_model(args), args))
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -168,9 +168,10 @@ class ScoreSet:
 class ThreatModel:
     """Immutable bundle of score sources, defense, config, and paths.
 
-    Each score set is keyed by its name, path ids are distinct, and a
-    per-stage defence tuple needs an entry for every stage position of
-    the longest path.
+    Each vector label is one that the weight table defines, each score
+    set is keyed by its name, path ids are distinct, and a per-stage
+    defence tuple needs an entry for every stage position of the longest
+    path.
     """
 
     score_sets: Mapping[str, ScoreSet] = field(default_factory=dict)
@@ -181,6 +182,13 @@ class ThreatModel:
 
     def __post_init__(self):
         _check_types(vars(self), paths=[AttackPath])
+        table = self.weight_table
+        for domain, vector in (self.vectors or {}).items():
+            for p in PARAMETERS:  # the first label the table lacks, in document order
+                label = vector.label(p)
+                if label not in (table.impact_bias if p == "IB" else table.weights.get(p, {})):
+                    raise InvalidConfigError(f"unknown label {label!r}",
+                                             ("vectors", domain.code, p.lower()))
         for key, score_set in self.score_sets.items():
             if key != score_set.name:
                 raise InvalidConfigError(
@@ -284,7 +292,7 @@ def _object(value: Any, path) -> dict:
 
 def _typed(types, what: str):
     """Parser of a value of ``types``; a bool is one only if ``types`` is bool."""
-    def parse(value: Any, path, read=None):
+    def parse(value: Any, path):
         if not isinstance(value, types) or isinstance(value, bool) and types is not bool:
             raise _invalid(path, f"expected {what}, got {value!r}")
         return value
@@ -297,7 +305,7 @@ _integer, _numeric = _typed(int, "an integer"), _typed((int, float), "a number")
 _id = _typed((str, int), "a string or integer")
 
 
-def _number(value: Any, path, read=None) -> float:
+def _number(value: Any, path) -> float:
     try:
         number = float(_numeric(value, path))
     except OverflowError:  # an integer literal beyond the float range
@@ -307,19 +315,16 @@ def _number(value: Any, path, read=None) -> float:
     return number
 
 
-def _choice(choices: Mapping[str, Any], reason: str):
-    """Parser of a string that ``choices`` maps to a model value."""
-    def parse(value: Any, path, read=None):
-        if _string(value, path) not in choices:
-            raise _invalid(path, reason.format(value))
-        return choices[value]
+def _enum(enum_cls):
+    """Parser of a string that is the code of an ``enum_cls`` member."""
+    codes = {member.value: member for member in enum_cls}
+
+    def parse(value: Any, path):
+        if _string(value, path) not in codes:
+            raise _invalid(path, f"unknown code {value!r} (expected {'|'.join(codes)})")
+        return codes[value]
 
     return parse
-
-
-def _enum(enum_cls):
-    codes = {member.value: member for member in enum_cls}
-    return _choice(codes, f"unknown code {{!r}} (expected {'|'.join(codes)})")
 
 
 _view, _ref = _enum(ViewDomain), _enum(ReferenceDomain)
@@ -341,19 +346,16 @@ _REQUIRED = object()
 class _Key(NamedTuple):
     """One key of a document object.
 
-    ``parse(value, path, read)`` gives the model value; ``read`` holds
-    the keys of the same object read before this one.  ``dump(owner)``
+    ``parse(value, path)`` gives the model value.  ``dump(owner)``
     gives the document value (an enum member stands for its code), or
     None to leave the key out: null is never a valid value.  An absent
-    key takes ``default``, unless that is ``_REQUIRED``.  Keys are
-    written in table order and read in (``phase``, table) order.
+    key takes ``default``, unless that is ``_REQUIRED``.
     """
 
     name: str
     parse: Callable
     dump: Callable
     default: Any = _REQUIRED
-    phase: int = 0
 
 
 class _Table:
@@ -361,8 +363,8 @@ class _Table:
 
     The reader rejects unknown keys (all named, sorted), then a missing
     key (the first in table order), then parses the values.  With a
-    ``build``, the object is a record, built from its values in table
-    order; ``renamed`` maps a field its errors name to the document's.
+    ``build``, the object is a record, read and built from its values in
+    table order; ``renamed`` maps a field its errors name to the document's.
     Without one it holds options: they are read in document order, and
     the reader returns the ones given as a dict.
     """
@@ -372,9 +374,8 @@ class _Table:
         self.keys, self.build, self.renamed = keys, build, renamed
         self.by_name = {key.name: key for key in keys}
         self.required = [key.name for key in keys if key.default is _REQUIRED]
-        self.reading = sorted(keys, key=lambda key: key.phase)
 
-    def parse(self, value: Any, path, read=None):
+    def parse(self, value: Any, path):
         obj = _object(value, path)
         if not self.by_name.keys() >= obj.keys():
             unknown = ", ".join(sorted(obj.keys() - self.by_name.keys()))
@@ -385,13 +386,13 @@ class _Table:
         out: dict[str, Any] = {}
         if self.build is None:
             for name, item in obj.items():
-                out[name] = self.by_name[name].parse(item, (path, name), out)
+                out[name] = self.by_name[name].parse(item, (path, name))
             return out
-        for key in self.reading:
+        for key in self.keys:
             name = key.name
-            out[name] = key.parse(obj[name], (path, name), out) if name in obj else key.default
+            out[name] = key.parse(obj[name], (path, name)) if name in obj else key.default
         try:
-            return self.build(*[out[key.name] for key in self.keys])
+            return self.build(*out.values())
         except InvalidConfigError as exc:
             raise _field_error(exc, path, self.renamed) from None
 
@@ -404,7 +405,7 @@ class _Table:
 _TOTALS = _Table(*(_Key(d.code, _number, lambda s, d=d: s.totals[d], None) for d in ViewDomain))
 
 
-def _parse_score_sets(value: Any, path, read=None) -> dict[str, ScoreSet]:
+def _parse_score_sets(value: Any, path) -> dict[str, ScoreSet]:
     sets: dict[str, ScoreSet] = {}
     for name, entry in _object(value, path).items():
         totals = _TOTALS.parse(entry, (path, name))
@@ -415,31 +416,20 @@ def _parse_score_sets(value: Any, path, read=None) -> dict[str, ScoreSet]:
     return sets
 
 
-def _vector_table(table: WeightTable) -> _Table:
-    """A vector's keys, one per parameter, taking the labels ``table`` defines."""
-    def key(p: str) -> _Key:
-        labels = table.impact_bias if p == "IB" else table.weights.get(p, {})
-        return _Key(p.lower(), _choice({label: label for label in labels}, "unknown label {!r}"),
-                    lambda vector: vector.label(p))
-
-    return _Table(*map(key, PARAMETERS), build=CvssVector)
+_VECTOR = _Table(*(_Key(p.lower(), _string, lambda vector, p=p: vector.label(p))
+                   for p in PARAMETERS), build=CvssVector)
 
 
-_VECTOR = _vector_table(DEFAULT_WEIGHT_TABLE)
-
-
-def _parse_vectors(value: Any, path, read) -> dict[ViewDomain, CvssVector]:
-    table = read[_WEIGHT_TABLE.name]
-    vector = _VECTOR if table is DEFAULT_WEIGHT_TABLE else _vector_table(table)
-    return {_view(code, (path, code)): vector.parse(entry, (path, code))
+def _parse_vectors(value: Any, path) -> dict[ViewDomain, CvssVector]:
+    return {_view(code, (path, code)): _VECTOR.parse(entry, (path, code))
             for code, entry in _object(value, path).items()}
 
 
-def _weights(value: Any, path, read=None) -> dict[str, float]:
+def _weights(value: Any, path) -> dict[str, float]:
     return {label: _number(w, (path, label)) for label, w in _object(value, path).items()}
 
 
-def _triples(value: Any, path, read=None) -> dict[str, tuple[float, float, float]]:
+def _triples(value: Any, path) -> dict[str, tuple[float, float, float]]:
     triples = {}
     for label, triple in _object(value, path).items():
         if not isinstance(triple, list) or len(triple) != 3:
@@ -456,7 +446,7 @@ _WEIGHTS = _Table(
 )
 
 
-def _parse_weight_table(value: Any, path, read=None) -> WeightTable:
+def _parse_weight_table(value: Any, path) -> WeightTable:
     """The default table, with the parameters the document gives replaced."""
     given = {key.upper(): entry for key, entry in _WEIGHTS.parse(value, path).items()}
     try:
@@ -468,7 +458,7 @@ def _parse_weight_table(value: Any, path, read=None) -> WeightTable:
         raise _invalid(path, str(exc)) from None
 
 
-def _parse_probability(value: Any, path, read=None) -> float | tuple[float, ...]:
+def _parse_probability(value: Any, path) -> float | tuple[float, ...]:
     # Scalar d, or a per-stage-position array.
     if isinstance(value, list):
         return tuple(_number(d, (path, i)) for i, d in enumerate(value))
@@ -495,7 +485,7 @@ _OPTIONS = _Table(
 )
 
 
-def _parse_origins(value: Any, path, read=None) -> tuple[ReferenceDomain, ...]:
+def _parse_origins(value: Any, path) -> tuple[ReferenceDomain, ...]:
     if not isinstance(value, list):
         return (_ref(value, path),)
     if not value:
@@ -505,7 +495,7 @@ def _parse_origins(value: Any, path, read=None) -> tuple[ReferenceDomain, ...]:
 
 def _array(table: _Table, reason: str = "expected an array"):
     """Parser of an array of ``table``'s objects, as a tuple."""
-    def parse(value: Any, path, read=None) -> tuple:
+    def parse(value: Any, path) -> tuple:
         if not isinstance(value, list):
             raise _invalid(path, reason)
         return tuple(table.parse(entry, (path, i)) for i, entry in enumerate(value))
@@ -520,7 +510,7 @@ _STAGE = _Table(
     build=AttackStage, renamed={"description": "desc"},
 )
 _PATH = _Table(
-    _Key("id", lambda v, path, read: str(_id(v, path)), lambda p: p.id),
+    _Key("id", lambda v, path: str(_id(v, path)), lambda p: p.id),
     _Key("attacker", _enum(Attacker), lambda p: p.attacker),
     _Key("origin", _parse_origins,
          lambda p: [o.code for o in p.origins] if p.origin_aliases else p.origin.code),
@@ -545,23 +535,18 @@ def _build_model(score_sets, vectors, table, defence, options, paths) -> ThreatM
     return model
 
 
-# The weight table is read first, as the vectors' labels come from it,
-# and config last, after paths.
-_WEIGHT_TABLE = _Key(
-    "weight_table", _parse_weight_table,
-    lambda m: _WEIGHTS.dump(m.weight_table) if m.weight_table != DEFAULT_WEIGHT_TABLE else None,
-    DEFAULT_WEIGHT_TABLE, phase=-1,
-)
 _DEFENCE_KEY = _Key("defence", _DEFENCE.parse, lambda m: _DEFENCE.dump(m.config),
                     AnalysisConfig.defence_probability)
-_CONFIG = _Key("config", _OPTIONS.parse, lambda m: _OPTIONS.dump(m.config), {}, phase=1)
+_CONFIG = _Key("config", _OPTIONS.parse, lambda m: _OPTIONS.dump(m.config), {})
 _DOCUMENT = _Table(
     _Key("score_sets", _parse_score_sets,
          lambda m: {name: _TOTALS.dump(s) for name, s in m.score_sets.items()} or None,
          MappingProxyType({})),
     _Key("vectors", _parse_vectors,
          lambda m: {d.code: _VECTOR.dump(v) for d, v in (m.vectors or {}).items()} or None, None),
-    _WEIGHT_TABLE,
+    _Key("weight_table", _parse_weight_table,
+         lambda m: _WEIGHTS.dump(m.weight_table) if m.weight_table != DEFAULT_WEIGHT_TABLE
+         else None, DEFAULT_WEIGHT_TABLE),
     _DEFENCE_KEY,
     _CONFIG,
     _Key("paths", _array(_PATH), lambda m: [_PATH.dump(p) for p in m.paths], ()),

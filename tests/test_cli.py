@@ -16,7 +16,6 @@ import pytest
 
 import riskctl
 from riskctl import (
-    ViewDomain,
     builtin_paper_model,
     realization_probability,
     run_verification,
@@ -483,14 +482,14 @@ class TestVerify:
         assert [l for l in out.splitlines() if l.startswith("FAIL")] == failures
 
     def test_an_error_in_any_check_is_its_fail_line(self):
-        # parse_model refuses a label the weight table lacks, so only a
-        # model built in-process gets one as far as score_breakdown.
+        # Without path "1", model.path raises in stage-probabilities-id1;
+        # its message is the check's detail, and the later checks still run.
         model = builtin_paper_model()
-        vector = replace(model.vectors[ViewDomain.DATA], av="Q")
-        results = run_verification(replace(model, vectors={**model.vectors, ViewDomain.DATA: vector}))
-        assert [r.passed for r in results] == [False, True, True, True, True]
-        assert (results[0].name, results[0].detail) == (
-            "cvss-columns", "label 'Q' is not defined for parameter AV"
+        results = run_verification(
+            replace(model, paths=tuple(p for p in model.paths if p.id != "1")))
+        assert [r.passed for r in results] == [True, False, False, True, True]
+        assert (results[1].name, results[1].detail) == (
+            "stage-probabilities-id1", "no path with id '1'"
         )
 
     def test_config_flag_applies_to_the_checks(self, capsys):
