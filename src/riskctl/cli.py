@@ -130,10 +130,8 @@ def _cmd_score(args, model: ThreatModel) -> int:
             print(f"riskctl: error: unknown domain {args.domain!r}", file=sys.stderr)
             return 1
 
-    # The named set the formula totals are compared against.
+    # The named set the formula totals are compared against, if any.
     reference_set = source if source != FORMULA_SOURCE else model.config.score_set
-    if reference_set == FORMULA_SOURCE or reference_set not in model.score_sets:
-        reference_set = None
 
     entries = []
     notes = []
@@ -151,8 +149,8 @@ def _cmd_score(args, model: ThreatModel) -> int:
                 formula_total=breakdown.total,
             )
         entry["total"] = resolve_score(model, domain, source)
-        if breakdown is not None and reference_set is not None:
-            published = model.score_sets[reference_set].totals[domain]
+        if breakdown is not None and reference_set != FORMULA_SOURCE:
+            published = resolve_score(model, domain, reference_set)
             if abs(breakdown.total - published) > 0.05:
                 notes.append(
                     f"{domain.code}: formula total {breakdown.total:.6g} diverges from "

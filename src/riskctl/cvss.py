@@ -25,7 +25,7 @@ from enum import Enum
 from types import MappingProxyType
 from typing import Any, Mapping
 
-from .errors import NotFoundError
+from .errors import NotFoundError, _check_types
 
 # Parameter short codes, in canonical order: base metrics (with the
 # impact-bias selector IB), temporal metrics, environmental metrics.
@@ -108,7 +108,7 @@ DEFAULT_WEIGHT_TABLE = WeightTable(
 
 @dataclass(frozen=True)
 class CvssVector:
-    """One label per parameter; the unit scored by this module.
+    """One label (a string) per parameter; the unit scored by this module.
 
     The three bias weights are not stored: they derive from ``ib``.
     """
@@ -125,6 +125,9 @@ class CvssVector:
     rc: str
     cdp: str
     td: str
+
+    def __post_init__(self):
+        _check_types(vars(self), **dict.fromkeys(vars(self), str))
 
     def label(self, parameter: str) -> str:
         return getattr(self, parameter.lower())

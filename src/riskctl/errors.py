@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 
 class RiskctlError(Exception):
     """Base class for all riskctl errors."""
@@ -31,21 +33,31 @@ class InvalidConfigError(RiskctlError, ValueError):
 def _check_types(values: dict, **types) -> None:
     """Refuse, naming it, a value in ``values`` (a value object's
     ``vars`` or a function's arguments) that is not of its type in
-    ``types``: a class, a tuple of classes, or ``[kind]`` for a tuple
-    whose every item is of ``kind``, an item being named by its index.
-    A bool is of no type but bool (``True`` is an int)."""
+    ``types``: a class, a tuple of classes, ``[kind]`` for a tuple
+    whose every item is of ``kind``, an item being named by its index,
+    or ``{key_kind: kind}`` for a mapping whose every key is of
+    ``key_kind`` and every value of ``kind``, both named by the key.
+    A bool is an int only where bool is a kind too (``True`` is an
+    int)."""
     for name, kind in types.items():
         if isinstance(kind, list):
             _check_types(values, **{name: tuple})
             for i, item in enumerate(values[name]):
                 _check_type(item, kind[0], (name, i), "")
+        elif isinstance(kind, dict):
+            _check_types(values, **{name: Mapping})
+            [(key_kind, value_kind)] = kind.items()
+            for key, value in values[name].items():
+                _check_type(key, key_kind, (name, key), "")
+                _check_type(value, value_kind, (name, key), "")
         else:
             _check_type(values[name], kind, name, f"{name}: ")
 
 
 def _check_type(value, kind, field, prefix: str) -> None:
     kinds = kind if isinstance(kind, tuple) else (kind,)
-    if not isinstance(value, kinds) or isinstance(value, bool) and bool not in kinds:
+    wrong_bool = isinstance(value, bool) and int in kinds and bool not in kinds
+    if not isinstance(value, kinds) or wrong_bool:
         what = " or ".join(k.__name__ for k in kinds)
         raise InvalidConfigError(f"{prefix}expected {what}, got {value!r}", field)
 

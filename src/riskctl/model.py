@@ -135,15 +135,15 @@ class AttackPath:
 class ScoreSet:
     """Named mapping from view domain to total score.
 
-    Every domain needs a total, and every total is a valid score (see
-    :meth:`valid_score`).
+    Each key is a view domain, every domain needs a total, and every
+    total is a valid score (see :meth:`valid_score`).
     """
 
     name: str
     totals: Mapping[ViewDomain, float]
 
     def __post_init__(self):
-        _check_types(vars(self), name=str)
+        _check_types(vars(self), name=str, totals={ViewDomain: object})
         if not self.name or self.name == FORMULA_SOURCE:
             raise InvalidConfigError(f"reserved or empty score-set name {self.name!r}")
         missing = [d.code for d in ViewDomain if d not in self.totals]
@@ -181,7 +181,10 @@ class ThreatModel:
     weight_table: WeightTable = DEFAULT_WEIGHT_TABLE
 
     def __post_init__(self):
-        _check_types(vars(self), paths=[AttackPath])
+        _check_types(vars(self), score_sets={str: ScoreSet}, paths=[AttackPath],
+                     config=AnalysisConfig, weight_table=WeightTable)
+        if self.vectors is not None:
+            _check_types(vars(self), vectors={ViewDomain: CvssVector})
         table = self.weight_table
         for domain, vector in (self.vectors or {}).items():
             for p in PARAMETERS:  # the first label the table lacks, in document order

@@ -76,6 +76,13 @@ class TestScore:
         assert payload["notes"] == []
         assert all(e["total"] == e["formula_total"] for e in payload["scores"])
 
+    @pytest.mark.parametrize("source", [[], ["--source", "formula"]], ids=["config", "formula"])
+    def test_unknown_score_set(self, capsys, source):
+        # With the formula as the source, the set is the one its totals
+        # are compared against, and a missing one is an error too.
+        code, out, err = run(capsys, "score", *source, "--score-set", "nope")
+        assert (code, out, err) == (1, "", "riskctl: error: no score set named 'nope'\n")
+
     def test_unknown_domain(self, capsys):
         code, _, err = run(capsys, "score", "--domain", "engine")
         assert code == 1

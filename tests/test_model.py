@@ -376,6 +376,8 @@ def _doc(*keys, value):
     return doc
 
 
+_DATA_VECTOR = builtin_paper_model().vectors[ViewDomain.DATA]
+
 # One case per model rule: the document that breaks it, the field path
 # parse_model reports, and the same fault built in Python.
 MODEL_RULES = {
@@ -407,6 +409,11 @@ MODEL_RULES = {
     "score set with an empty name": (
         _doc("score_sets", "", value=lambda sets: sets["default"]), "score_sets.",
         lambda: ScoreSet("", _minimal_model().score_sets["default"].totals),
+    ),
+    "vector label the weight table lacks": (
+        _doc("vectors", value={"data": {**_DATA_VECTOR.to_dict(), "av": "Q"}}),
+        "vectors.data.av",
+        lambda: _minimal_model(vectors={ViewDomain.DATA: replace(_DATA_VECTOR, av="Q")}),
     ),
 }
 
@@ -660,6 +667,22 @@ REFUSED = [
                  r"states: expected tuple, got \['a', 'b'\]", id="states-list"),
     pytest.param(lambda m: MarkovChain(("a", 1), [[1, 0], [0, 1]]), InvalidConfigError,
                  "expected str, got 1", id="state-int"),
+    pytest.param(lambda m: MarkovChain(("a", "b"), [[1, 0], [0, 1]], [0.5]), InvalidConfigError,
+                 r"stage_probs: expected tuple, got \[0.5\]", id="stage-probs-list"),
+    pytest.param(lambda m: replace(m, vectors={d.code: v for d, v in m.vectors.items()}),
+                 InvalidConfigError, "expected ViewDomain, got 'data'", id="vector-key-string"),
+    pytest.param(lambda m: replace(m, vectors={**m.vectors, ViewDomain.DATA: 1}),
+                 InvalidConfigError, "expected CvssVector, got 1", id="vector-int"),
+    pytest.param(lambda m: replace(m, score_sets=[1]), InvalidConfigError,
+                 r"score_sets: expected Mapping, got \[1\]", id="score-sets-list"),
+    pytest.param(lambda m: replace(m, config={}), InvalidConfigError,
+                 r"config: expected AnalysisConfig, got \{\}", id="config-dict"),
+    pytest.param(lambda m: replace(m, weight_table=3), InvalidConfigError,
+                 "weight_table: expected WeightTable, got 3", id="weight-table-int"),
+    pytest.param(lambda m: replace(m.vectors[ViewDomain.DATA], av=["L"]), InvalidConfigError,
+                 r"av: expected str, got \['L'\]", id="label-list"),
+    pytest.param(lambda m: ScoreSet("s", {**_TOTALS, "extra": 1.0}), InvalidConfigError,
+                 "expected ViewDomain, got 'extra'", id="total-key-string"),
 ]
 
 

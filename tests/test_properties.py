@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from riskctl import (
     DEFAULT_WEIGHT_TABLE,
+    PARAMETERS,
     AnalysisConfig,
     Attacker,
     AttackPath,
@@ -281,11 +282,18 @@ def models_or_refusals(draw):
     """A generated model with the fields the value objects' rules govern
     drawn from values that break them too: one to three copies of its
     path, each with a drawn id, first stage index and origin aliases, the
-    first stage's description, and one more score set with a drawn name.
-    Gives the model, or the InvalidConfigError that refused it."""
+    first stage's description, one more score set with a drawn name, and
+    one vector label, kept or set to "Q", which no weight table here
+    defines.  Gives the model, or the InvalidConfigError that refused it,
+    and the field of the "Q" label (None if none was set)."""
     model = draw(generated_models())
     names = st.sampled_from(["1", "x", "", "formula"])
     path = model.paths[0]
+    vectors, bad_label = model.vectors, None
+    if vectors is not None and draw(st.booleans()):
+        domain, p = draw(st.sampled_from(ViewDomain)), draw(st.sampled_from(PARAMETERS)).lower()
+        vectors = {**vectors, domain: replace(vectors[domain], **{p: "Q"})}
+        bad_label = ("vectors", domain.code, p)
     try:
         first = replace(path.stages[0], description=draw(st.sampled_from(["stage"] * 3 + [""])))
         copy = replace(path, stages=(first, *path.stages[1:]))
@@ -296,9 +304,10 @@ def models_or_refusals(draw):
             for _ in range(draw(st.integers(1, 3)))
         )
         extra = ScoreSet(draw(names), dict.fromkeys(ViewDomain, 1.0))
-        return replace(model, paths=paths, score_sets={**model.score_sets, extra.name: extra})
+        return replace(model, paths=paths, score_sets={**model.score_sets, extra.name: extra},
+                       vectors=vectors), bad_label
     except InvalidConfigError as exc:
-        return exc
+        return exc, bad_label
 
 
 # Each AnalysisConfig field: (values of its type that the built-in model
@@ -333,11 +342,17 @@ class TestGeneratedModels:
         assert parse_model(serialize_model(model)) == model
 
     @settings(derandomize=True, max_examples=100, deadline=None)
-    @given(model=models_or_refusals())
-    def test_every_accepted_model_round_trips(self, model):
+    @given(drawn=models_or_refusals())
+    def test_every_accepted_model_round_trips(self, drawn):
         # A model that breaks a rule is refused when it is built, so
         # serialize_model never writes a document that parse_model refuses.
-        if not isinstance(model, InvalidConfigError):
+        # A label its weight table lacks is refused at the label's field.
+        model, bad_label = drawn
+        if isinstance(model, InvalidConfigError):
+            if str(model).startswith("unknown label"):
+                assert (str(model), model.field) == ("unknown label 'Q'", bad_label)
+        else:
+            assert bad_label is None
             assert parse_model(serialize_model(model)) == model
 
     @settings(derandomize=True, max_examples=40, deadline=None)
